@@ -18,24 +18,12 @@ from . import gamma as gammamod
 from . import modp, torsion
 from .errors import ConfigParseError, FmcalcError, UsageError
 from .formal import hazewinkel_log, log_closed_form, trivial_tower
-from .gradedpoly import PolyRing, graded_basis
 from .numberring import (
     TowerDescriptor,
     find_nonsplit_prime,
     make_tower,
 )
 from .report import emit
-
-VERIFY_SUITES = (
-    "log-oracle",
-    "unramified",
-    "low-degree",
-    "rational-iso",
-    "kappa",
-    "eventual-division",
-    "ordering",
-)
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -132,10 +120,10 @@ def _with_common(report, settings, tower=None):
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites: each takes (tower, N, settings) and returns a report
 
 
-def suite_log_oracle(tower, N):
+def suite_log_oracle(tower, N, settings):
     rec = hazewinkel_log(tower, N)
     closed = log_closed_form(tower, N)
     failures = [n for n in range(N + 1) if rec[n] != closed[n]]
@@ -148,7 +136,7 @@ def suite_log_oracle(tower, N):
     }
 
 
-def suite_unramified(tower, N):
+def suite_unramified(tower, N, settings):
     source = trivial_tower(tower.p)
     table = gammamod.compute_gamma(source, tower, N)
     rep = gammamod.check_unramified_formula(table)
@@ -157,7 +145,7 @@ def suite_unramified(tower, N):
     return rep
 
 
-def suite_low_degree(tower, N):
+def suite_low_degree(tower, N, settings):
     """gamma(v_1), gamma(v_2) against the closed low-degree formulas for a
     totally ramified extension of the base."""
     source = trivial_tower(tower.p)
@@ -182,11 +170,11 @@ def suite_low_degree(tower, N):
     }
 
 
-def suite_rational_iso(tower, N, weight_bound):
+def suite_rational_iso(tower, N, settings):
     source = trivial_tower(tower.p)
     table = gammamod.compute_gamma(source, tower, N)
-    if weight_bound is None:
-        weight_bound = tower.q ** 3 - 1
+    wb = settings.get("weight_bound")
+    weight_bound = tower.q ** 3 - 1 if wb is None else int(wb)
     weights = {}
     passed = True
     for w in range(weight_bound + 1):
@@ -206,7 +194,7 @@ def suite_rational_iso(tower, N, weight_bound):
     }
 
 
-def suite_kappa(tower, N):
+def suite_kappa(tower, N, settings):
     source = trivial_tower(tower.p)
     table = gammamod.compute_gamma(source, tower, N)
     n = table.e_rel
@@ -224,7 +212,8 @@ def suite_kappa(tower, N):
     return {"suite": "kappa", "n": n, "passed": passed, "checks": results}
 
 
-def suite_eventual_division(tower, N, m_max):
+def suite_eventual_division(tower, N, settings):
+    m_max = int(settings["mmax"])
     source = trivial_tower(tower.p)
     table = gammamod.compute_gamma(source, tower, N)
     results = []
@@ -238,37 +227,27 @@ def suite_eventual_division(tower, N, m_max):
     }
 
 
-def suite_ordering(tower, N, weight_bound, seed):
+def suite_ordering(tower, N, settings):
     source = trivial_tower(tower.p)
     table = gammamod.compute_gamma(source, tower, N)
-    if weight_bound is None:
-        weight_bound = 2 * (tower.q ** 2 - 1)
-    rep = gammamod.order_preservation_check(table, 100, weight_bound, seed=seed)
+    wb = settings.get("weight_bound")
+    weight_bound = 2 * (tower.q ** 2 - 1) if wb is None else int(wb)
+    rep = gammamod.order_preservation_check(
+        table, 100, weight_bound, seed=int(settings["seed"])
+    )
     rep["suite"] = "ordering"
     return rep
 
 
-def run_verify(suite, settings):
-    tower = resolve_tower(settings)
-    N = int(settings["N"])
-    if suite == "log-oracle":
-        return suite_log_oracle(tower, N), tower
-    if suite == "unramified":
-        return suite_unramified(tower, N), tower
-    if suite == "low-degree":
-        return suite_low_degree(tower, N), tower
-    if suite == "rational-iso":
-        wb = settings.get("weight_bound")
-        return suite_rational_iso(tower, N, int(wb) if wb is not None else None), tower
-    if suite == "kappa":
-        return suite_kappa(tower, N), tower
-    if suite == "eventual-division":
-        return suite_eventual_division(tower, N, int(settings["mmax"])), tower
-    if suite == "ordering":
-        wb = settings.get("weight_bound")
-        wb = int(wb) if wb is not None else None
-        return suite_ordering(tower, N, wb, int(settings["seed"])), tower
-    raise UsageError("unknown suite %r (choose from %s)" % (suite, ", ".join(VERIFY_SUITES)))
+VERIFY_SUITES = {
+    "log-oracle": suite_log_oracle,
+    "unramified": suite_unramified,
+    "low-degree": suite_low_degree,
+    "rational-iso": suite_rational_iso,
+    "kappa": suite_kappa,
+    "eventual-division": suite_eventual_division,
+    "ordering": suite_ordering,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +324,8 @@ def cmd_gamma(args, settings):
 
 
 def cmd_verify(args, settings):
-    report, tower = run_verify(args.suite, settings)
+    tower = resolve_tower(settings)
+    report = VERIFY_SUITES[args.suite](tower, int(settings["N"]), settings)
     report = _with_common({"command": "verify"} | report, settings, tower)
     return report, 0 if report.get("passed", False) else 1
 

@@ -62,10 +62,6 @@ class IntegralityFailure(FmcalcError):
     pass
 
 
-class WeightMismatch(FmcalcError):
-    pass
-
-
 class CongruenceFailed(FmcalcError):
     """Carries both reduced sides of a failed congruence check."""
 

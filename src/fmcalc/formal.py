@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gradedpoly import GradedPoly, PolyRing
+from .gradedpoly import PolyRing
 from .numberring import make_tower
 
 

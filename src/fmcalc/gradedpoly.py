@@ -15,12 +15,21 @@ from .errors import (
     MissingImage,
     NotIntegral,
     RingMismatch,
+    TowerMismatch,
     TruncationExceeded,
     ZeroPolynomial,
 )
-from .numberring import FieldElement, ResidueElement, embed, is_integral, residue
+from .numberring import (
+    FieldElement,
+    ResidueElement,
+    embed,
+    is_integral,
+    mul_accumulate,
+    residue,
+)
 
 LT, EQ, GT = -1, 0, 1
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,65 +265,38 @@ class GradedPoly:
         return GradedPoly(self.ring, out)
 
     def _mul_field(self, other):
-        """Field-coefficient product accumulating flat coordinate vectors,
-        avoiding per-partial-product element objects."""
+        """Field-coefficient product: each coefficient of the shorter factor
+        builds its multiplication rows once, and every partial product
+        accumulates into a flat coordinate vector per monomial."""
         T = self.ring.tower
-        struct = T.structure_constants()
-        d, f = T.d, T.f
-        zero = Fraction(0)
-        # For each term of the shorter factor, precompute the linear map
-        # "multiply by this coefficient" as rows over the second index.
         a_poly, b_poly = self, other
         if len(a_poly.terms) > len(b_poly.terms):
             a_poly, b_poly = b_poly, a_poly
-        b_flat = [
-            (m2, [c for row in c2.coords for c in row])
-            for m2, c2 in b_poly.terms.items()
-        ]
+        b_flat = [(m2, c2.flat()) for m2, c2 in b_poly.terms.items()]
         out = {}
         for m1, c1 in a_poly.terms.items():
-            a = [c for row in c1.coords for c in row]
-            rows = [[zero] * d for _ in range(d)]
-            for k in range(d):
-                ak = a[k]
-                if not ak:
-                    continue
-                sk = struct[k]
-                for l in range(d):
-                    row = rows[l]
-                    for m, s in sk[l]:
-                        row[m] += ak * s
-            sparse_rows = [
-                [(m, v) for m, v in enumerate(row) if v] for row in rows
-            ]
+            rows = c1.mul_rows()
             for m2, b in b_flat:
                 key = monomial_mul(m1, m2)
                 acc = out.get(key)
                 if acc is None:
-                    acc = [zero] * d
-                    out[key] = acc
-                for l in range(d):
-                    bl = b[l]
-                    if not bl:
-                        continue
-                    for m, v in sparse_rows[l]:
-                        acc[m] += bl * v
-        terms = {}
-        for key, acc in out.items():
-            if any(acc):
-                terms[key] = FieldElement(T, [acc[j * f : (j + 1) * f] for j in range(T.e)])
+                    acc = out[key] = [_ZERO] * T.d
+                mul_accumulate(acc, rows, b)
+        terms = {key: FieldElement.from_flat(T, acc) for key, acc in out.items() if any(acc)}
         return GradedPoly(self.ring, terms)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = (
-                self.ring.coeff_from_int(c)
-                if isinstance(c, int)
-                else self.ring.tower.from_rational(c)
+        if isinstance(c, int):
+            c = self.ring.coeff_from_int(c)
+        elif isinstance(c, Fraction):
+            c = self.ring.tower.from_rational(c)
+        elif not self.ring.tower.same_tower(c.tower):
+            raise TowerMismatch(
+                "scalar from %s, ring over %s" % (c.tower.label, self.ring.tower.label)
             )
-        return GradedPoly(self.ring, {m: c * v for m, v in self.terms.items()})
+        return self * GradedPoly(self.ring, {ONE_MONOMIAL: c})
 
     def __pow__(self, n):
         if n < 0:
@@ -377,6 +359,34 @@ def leading_monomial(f):
 def leading_term(f):
     m = leading_monomial(f)
     return m, f.terms[m]
+
+
+def divide(f, divisors):
+    """Multivariate division under the monomial order: returns ([q_i], r)
+    with f = sum q_i * d_i + r and no term of r divisible by any lm(d_i).
+    Each step reduces the leading term of what is left by the first
+    divisor whose leading monomial divides it; coefficients divide exactly
+    (field or residue field).  A zero divisor raises ZeroPolynomial."""
+    ring = f.ring
+    leads = [leading_term(d) for d in divisors]
+    lc_invs = [None] * len(divisors)  # taken on a divisor's first hit
+    quots = [{} for _ in divisors]
+    rem = {}
+    work = f
+    while work:
+        m, c = leading_term(work)
+        for i, (lm, lc) in enumerate(leads):
+            ratio = monomial_divide(m, lm)
+            if ratio is not None:
+                if lc_invs[i] is None:
+                    lc_invs[i] = lc.inverse()
+                q = quots[i][ratio] = c * lc_invs[i]
+                work = work - GradedPoly(ring, {ratio: q}) * divisors[i]
+                break
+        else:
+            rem[m] = c
+            work = GradedPoly(ring, {k: v for k, v in work.terms.items() if k != m})
+    return [GradedPoly(ring, q) for q in quots], GradedPoly(ring, rem)
 
 
 def apply_ring_map(f, images, coeff_map=None):

@@ -5,6 +5,20 @@ A tower is described by a prime p, a monic integer polynomial g of degree f
 degree e over the unramified subring (generator theta).  Elements of the
 fraction field are stored with exact rational coordinates in the power basis
 omega^i * theta^j, which is an integral basis for such towers.
+
+Every product goes through one kernel.  An element x has a multiplication
+matrix: its sparse rows r_l = x * basis_l, built once from the tower's
+structure constants (`FieldElement.mul_rows`).  A product x * y is then one
+accumulate step acc += sum_l y_l * r_l (`mul_accumulate`) on flat coordinate
+vectors (index j*f + i).  `FieldElement.__mul__`, `FieldElement.inverse`
+(which solves against the same matrix) and the field-coefficient product of
+graded polynomials all use it.
+
+The valuation has a closed form: v(sum c_{j,i} omega^i theta^j) is the
+minimum of e * v_p(c_{j,i}) + j over nonzero coordinates.  The omega^i are
+a unit basis of the unramified ring, so each theta-layer sum_i c_{j,i}
+omega^i has p-adic valuation min_i v_p(c_{j,i}); the layers j = 0..e-1 then
+have distinct valuations modulo e, so the smallest one decides.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from .errors import (
 )
 
 INFINITY = math.inf
+_ZERO = Fraction(0)
 
 
 def is_prime(n):
@@ -298,8 +313,8 @@ def make_tower(p, unram_poly, eis_poly, label=""):
 def _basis_mul(T, ca, cb):
     """Multiply two coordinate arrays by polynomial reduction: as
     polynomials in theta over Q[omega]/(g), then theta-degree reduction via
-    the Eisenstein relation.  Used only to seed the structure-constant
-    table."""
+    the Eisenstein relation.  Seeds the structure-constant table, and is
+    the reference product the property tests compare against."""
     e = T.e
     prod = [()] * (2 * e - 1)
     for j1, row1 in enumerate(ca):
@@ -334,6 +349,15 @@ def _basis_mul(T, ca, cb):
     return prod[:e]
 
 
+def mul_accumulate(acc, rows, b):
+    """acc += rows . b in place: add b_l * r_l for every nonzero b_l, with
+    rows as returned by `FieldElement.mul_rows`."""
+    for bl, row in zip(b, rows):
+        if bl:
+            for m, v in row:
+                acc[m] += bl * v
+
+
 class FieldElement:
     """Element of the fraction field, coords[j][i] the coefficient of
     omega^i * theta^j."""
@@ -349,6 +373,15 @@ class FieldElement:
             raise FmcalcError("coordinate array has wrong theta-degree")
 
     # -- basic structure -------------------------------------------------------
+
+    def flat(self):
+        """Coordinates as one list, index j*f + i."""
+        return [c for row in self.coords for c in row]
+
+    @staticmethod
+    def from_flat(tower, flat):
+        f = tower.f
+        return FieldElement(tower, [flat[j * f : (j + 1) * f] for j in range(tower.e)])
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -407,42 +440,36 @@ class FieldElement:
             r = Fraction(other)
             return FieldElement(self.tower, [[c * r for c in row] for row in self.coords])
         self._check(other)
-        T = self.tower
-        struct = T.structure_constants()
-        f, d = T.f, T.d
-        a = [c for row in self.coords for c in row]
-        b = [c for row in other.coords for c in row]
-        out = [Fraction(0)] * d
-        for k in range(d):
-            ak = a[k]
-            if not ak:
-                continue
-            for l in range(d):
-                bl = b[l]
-                if not bl:
-                    continue
-                c = ak * bl
-                for m, s in struct[k][l]:
-                    out[m] += c * s
-        return FieldElement(T, [out[j * f : (j + 1) * f] for j in range(T.e)])
+        acc = [_ZERO] * self.tower.d
+        mul_accumulate(acc, self.mul_rows(), other.flat())
+        return FieldElement.from_flat(self.tower, acc)
 
     __rmul__ = __mul__
+
+    def mul_rows(self):
+        """Sparse rows of the multiplication-by-self matrix: rows[l] lists
+        (m, c) with self * basis_l = sum c * basis_m."""
+        struct = self.tower.structure_constants()
+        d = self.tower.d
+        rows = [[_ZERO] * d for _ in range(d)]
+        for ak, sk in zip(self.flat(), struct):
+            if not ak:
+                continue
+            for row, skl in zip(rows, sk):
+                for m, s in skl:
+                    row[m] += ak * s
+        return [[(m, v) for m, v in enumerate(row) if v] for row in rows]
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        T = self.tower
-        d = T.d
-        # Column k of M is self * basis_k in flat coordinates (index j*f + i).
-        cols = []
-        for j in range(T.e):
-            for i in range(T.f):
-                coords = [[Fraction(0)] * T.f for _ in range(T.e)]
-                coords[j][i] = Fraction(1)
-                prod = self * FieldElement(T, coords)
-                cols.append([c for row in prod.coords for c in row])
-        # Solve M x = e_0 by Gaussian elimination over Q.
-        M = [[cols[k][r] for k in range(d)] + [Fraction(1 if r == 0 else 0)] for r in range(d)]
+        d = self.tower.d
+        # Column l of M is self * basis_l; solve M x = e_0 by Gaussian
+        # elimination over Q.
+        M = [[_ZERO] * d + [Fraction(1 if r == 0 else 0)] for r in range(d)]
+        for l, row in enumerate(self.mul_rows()):
+            for m, c in row:
+                M[m][l] = c
         for col in range(d):
             piv = next((r for r in range(col, d) if M[r][col] != 0), None)
             if piv is None:
@@ -454,9 +481,7 @@ class FieldElement:
                 if r != col and M[r][col] != 0:
                     factor = M[r][col]
                     M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-        flat = [M[r][d] for r in range(d)]
-        coords = [flat[j * T.f : (j + 1) * T.f] for j in range(T.e)]
-        return FieldElement(T, coords)
+        return FieldElement.from_flat(self.tower, [M[r][d] for r in range(d)])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -523,29 +548,14 @@ def is_integral(z):
 
 def valuation(z):
     """pi-adic valuation normalized so valuation(uniformizer) = 1 and
-    valuation(p) = e; valuation(0) = +infinity."""
-    if z.is_zero():
-        return INFINITY
+    valuation(p) = e; valuation(0) = +infinity.  Closed form: see the module
+    docstring."""
     T = z.tower
-    pi = T.uniformizer()
-    vals = [padic_valuation_rational(c, T.p) for row in z.coords for c in row if c != 0]
-    max_den = max(0, -min(vals))
-    cap = T.e * (1 + max_den) + T.e
-    w = z * pi ** cap
-    if not is_integral(w):
-        raise FmcalcError("valuation cap failed to clear denominators")
-    max_num = max(0, max(vals))
-    bound = cap + T.e * (1 + max_num) + T.e
-    t = 0
-    while True:
-        wn = w / pi
-        if not is_integral(wn):
-            break
-        w = wn
-        t += 1
-        if t > bound:
-            raise FmcalcError("valuation search exceeded its bound")
-    return t - cap
+    return min(
+        (T.e * padic_valuation_rational(c, T.p) + j
+         for j, row in enumerate(z.coords) for c in row if c),
+        default=INFINITY,
+    )
 
 
 def residue(z):

@@ -9,8 +9,7 @@ index most significant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import OutsideScope, TruncationUnsound
 from .formal import trivial_tower
@@ -19,6 +18,7 @@ from .gradedpoly import (
     MONOMIAL_KEY,
     PolyRing,
     ResidueGradedPoly,
+    divide,
     divide_by_var,
     leading_term,
     monomial,
@@ -113,35 +113,11 @@ def _monic(f):
     return f * lc.inverse()
 
 
-def _reduce_once(f, basis):
-    """One full reduction pass; returns (reduced remainder)."""
-    ring = f.ring
-    rem = ring.zero()
-    work = f
-    while not work.is_zero():
-        m, c = leading_term(work)
-        hit = None
-        for b in basis:
-            bm, bc = leading_term(b)
-            ratio = monomial_divide(m, bm)
-            if ratio is not None:
-                hit = (ratio, c * bc.inverse(), b)
-                break
-        if hit is None:
-            t = type(f)(ring, {m: c})
-            rem = rem + t
-            work = work - t
-        else:
-            ratio, coeff, b = hit
-            work = work - type(f)(ring, {ratio: coeff}) * b
-    return rem
-
-
 def normal_form(f, gb):
     """Remainder of f on division by the basis; zero certifies membership
     (only up to the truncation caveat, which is raised as an error)."""
     basis = gb.basis if isinstance(gb, GroebnerBasis) else list(gb)
-    rem = _reduce_once(f, basis)
+    rem = divide(f, basis)[1]
     if isinstance(gb, GroebnerBasis) and gb.truncated and not rem.is_zero():
         raise TruncationUnsound(
             "basis was degree-truncated; nonzero normal form proves nothing"
@@ -174,7 +150,7 @@ def groebner_basis(gens, degree_bound):
         si = type(fi)(ring, {monomial_divide(lcm, mi): ring.coeff_one()}) * fi
         sj = type(fj)(ring, {monomial_divide(lcm, mj): ring.coeff_one()}) * fj
         s = si - sj
-        rem = _reduce_once(s, basis)
+        rem = divide(s, basis)[1]
         if not rem.is_zero():
             rem = _monic(rem)
             pairs.extend((k, len(basis)) for k in range(len(basis)))
@@ -183,7 +159,7 @@ def groebner_basis(gens, degree_bound):
     reduced = []
     for idx, b in enumerate(basis):
         others = [x for k, x in enumerate(basis) if k != idx]
-        r = _reduce_once(b, others) if others else b
+        r = divide(b, others)[1] if others else b
         if not r.is_zero():
             reduced.append(_monic(r))
     seen = []

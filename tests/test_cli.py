@@ -191,3 +191,11 @@ class TestCommands:
         assert code == 0
         first = rep["witnesses"][0]
         assert first["found"] and first["case"] == "zero" and first["m"] == 4
+
+    def test_verify_eventual_division_unramified(self, capsys):
+        # gamma(v_1) = 0 on an unramified tower: the search must not divide
+        # by it, and gamma(v_2)^m = v_1^m never lies in I_1 = (p).
+        code, out, _ = run(capsys, "verify", "eventual-division", "--p", "2",
+                           "--f", "2", "--N", "3")
+        assert code == 0
+        assert json.loads(out)["witnesses"][0]["found"] is False

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fmcalc import gradedpoly as gp
-from fmcalc.errors import RingMismatch, TruncationExceeded, ZeroPolynomial
+from fmcalc.errors import RingMismatch, TowerMismatch, TruncationExceeded, ZeroPolynomial
 from fmcalc.gradedpoly import (
     EQ,
     GT,
@@ -100,6 +100,10 @@ class TestArithmetic:
         other = PolyRing(q3_sqrt3, N=4)
         with pytest.raises(RingMismatch):
             ring.gen(1) + other.gen(1)
+
+    def test_scale_by_foreign_scalar(self, ring, q3_sqrt3):
+        with pytest.raises(TowerMismatch):
+            ring.gen(1).scale(q3_sqrt3.theta())
 
     def test_truncation_guard(self, ring):
         with pytest.raises(TruncationExceeded):
