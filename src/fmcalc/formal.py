@@ -47,14 +47,14 @@ class LogCoefficients:
 def hazewinkel_log(tower, N):
     """Log coefficients by the defining recursion."""
     ring = PolyRing(tower, N=max(N, 1))
-    pi = tower.uniformizer()
+    pi_inv = tower.uniformizer().inverse()
     q = tower.q
     entries = [ring.one()]
     for n in range(1, N + 1):
         acc = ring.zero()
         for i in range(n):
             acc = acc + entries[i] * ring.gen(n - i) ** (q ** i)
-        entries.append(acc.scale(pi.inverse()))
+        entries.append(acc.scale(pi_inv))
     return LogCoefficients(ring, tuple(entries))
 
 
@@ -74,7 +74,10 @@ def log_closed_form(tower, N):
     compositions (i_1, ..., i_r) of h of
     pi^{-r} * v_{i_1} * v_{i_2}^{q^{i_1}} * ... * v_{i_r}^{q^{i_1+...+i_{r-1}}}."""
     ring = PolyRing(tower, N=max(N, 1))
-    pi = tower.uniformizer()
+    pi_inv = tower.uniformizer().inverse()
+    pi_inv_pow = [tower.one()]  # pi^{-r} at index r, one per composition length
+    for _ in range(N):
+        pi_inv_pow.append(pi_inv_pow[-1] * pi_inv)
     q = tower.q
     entries = [ring.one()]
     for h in range(1, N + 1):
@@ -85,7 +88,7 @@ def log_closed_form(tower, N):
             for part in comp:
                 term = term * ring.gen(part) ** (q ** partial)
                 partial += part
-            acc = acc + term.scale((pi.inverse()) ** len(comp))
+            acc = acc + term.scale(pi_inv_pow[len(comp)])
         entries.append(acc)
     return LogCoefficients(ring, tuple(entries))
 

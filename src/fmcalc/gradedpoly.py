@@ -9,7 +9,9 @@ beats v_1^n * v_2 for every n.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     MissingImage,
@@ -25,11 +27,11 @@ from .numberring import (
     embed,
     is_integral,
     mul_accumulate,
+    mul_rows,
     residue,
 )
 
 LT, EQ, GT = -1, 0, 1
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,24 +267,44 @@ class GradedPoly:
         return GradedPoly(self.ring, out)
 
     def _mul_field(self, other):
-        """Field-coefficient product: each coefficient of the shorter factor
-        builds its multiplication rows once, and every partial product
-        accumulates into a flat coordinate vector per monomial."""
+        """Field-coefficient product on integer numerators.  Each factor is
+        put over one common denominator.  Each coefficient of the shorter
+        factor builds its integer multiplication rows once, and every
+        partial product accumulates into an integer vector under a dense
+        exponent key.  Each output term is then divided by den_a * den_b * ds
+        once and its key turned back into a monomial, in first-seen order."""
         T = self.ring.tower
         a_poly, b_poly = self, other
         if len(a_poly.terms) > len(b_poly.terms):
             a_poly, b_poly = b_poly, a_poly
-        b_flat = [(m2, c2.flat()) for m2, c2 in b_poly.terms.items()]
+        gens = sorted({n for poly in (a_poly, b_poly) for m in poly.terms for n, _ in m})
+        slot = {n: k for k, n in enumerate(gens)}
+
+        def dense(m):
+            exps = [0] * len(gens)
+            for n, a in m:
+                exps[slot[n]] = a
+            return tuple(exps)
+
+        den_a, a_terms = _over_common_den(a_poly)
+        den_b, b_terms = _over_common_den(b_poly)
+        b_dense = [(dense(m2), b) for m2, b in b_terms]
         out = {}
-        for m1, c1 in a_poly.terms.items():
-            rows = c1.mul_rows()
-            for m2, b in b_flat:
-                key = monomial_mul(m1, m2)
+        for m1, a in a_terms:
+            e1 = dense(m1)
+            rows = mul_rows(T, a)
+            for e2, b in b_dense:
+                key = tuple(map(add, e1, e2))
                 acc = out.get(key)
                 if acc is None:
-                    acc = out[key] = [_ZERO] * T.d
+                    acc = out[key] = [0] * T.d
                 mul_accumulate(acc, rows, b)
-        terms = {key: FieldElement.from_flat(T, acc) for key, acc in out.items() if any(acc)}
+        den = den_a * den_b * T.structure_constants()[1]
+        terms = {
+            tuple((gens[k], x) for k, x in enumerate(key) if x):
+                FieldElement.from_numerators(T, acc, den)
+            for key, acc in out.items() if any(acc)
+        }
         return GradedPoly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -344,6 +366,16 @@ class GradedPoly:
             )
             parts.append("(%r)%s" % (c, "*" + mono if mono else ""))
         return "<poly " + " + ".join(parts) + ">"
+
+
+def _over_common_den(poly):
+    """(den, [(monomial, numerators over den)]) for a field-coefficient
+    polynomial, den the lcm of its coefficients' denominators."""
+    den = math.lcm(*(c.den for c in poly.terms.values()))
+    return den, [
+        (m, c.nums if c.den == den else [n * (den // c.den) for n in c.nums])
+        for m, c in poly.terms.items()
+    ]
 
 
 class ResidueGradedPoly(GradedPoly):

@@ -3,22 +3,35 @@
 A tower is described by a prime p, a monic integer polynomial g of degree f
 (irreducible mod p, generator omega) and a monic Eisenstein polynomial h of
 degree e over the unramified subring (generator theta).  Elements of the
-fraction field are stored with exact rational coordinates in the power basis
-omega^i * theta^j, which is an integral basis for such towers.
+fraction field are written in the power basis omega^i * theta^j, which is
+an integral basis for such towers, with d = e*f coordinates at flat index
+k = j*f + i.
 
-Every product goes through one kernel.  An element x has a multiplication
-matrix: its sparse rows r_l = x * basis_l, built once from the tower's
-structure constants (`FieldElement.mul_rows`).  A product x * y is then one
-accumulate step acc += sum_l y_l * r_l (`mul_accumulate`) on flat coordinate
-vectors (index j*f + i).  `FieldElement.__mul__`, `FieldElement.inverse`
-(which solves against the same matrix) and the field-coefficient product of
-graded polynomials all use it.
+An element is stored as integer numerators over one common denominator:
+`nums`, a tuple of d integers, and `den`, a positive integer, so that
+coordinate k is nums[k] / den.  The form is canonical: gcd(den, *nums) == 1,
+and zero is all-zero nums over den == 1.  Equal elements therefore have
+equal (nums, den).  `coords` gives the nested Fraction rows on demand.
 
-The valuation has a closed form: v(sum c_{j,i} omega^i theta^j) is the
-minimum of e * v_p(c_{j,i}) + j over nonzero coordinates.  The omega^i are
-a unit basis of the unramified ring, so each theta-layer sum_i c_{j,i}
-omega^i has p-adic valuation min_i v_p(c_{j,i}); the layers j = 0..e-1 then
-have distinct valuations modulo e, so the smallest one decides.
+Every product goes through one integer kernel.  The tower's structure
+constants basis_k * basis_l = sum (s_klm / ds) * basis_m are scaled once, on
+first use, to integers s_klm over their common denominator ds (ds = 1 for
+integral Eisenstein polynomials).  An element x = nums / den has integer
+multiplication rows r_l = sum_k nums_k * s_kl, with x * basis_l = r_l /
+(den * ds) (`mul_rows`).  A product x * y is then one integer accumulate
+step acc += sum_l y.nums_l * r_l (`mul_accumulate`) followed by one division
+by den_x * den_y * ds, reduced with a single gcd.  `FieldElement.__mul__`,
+`FieldElement.inverse` (which solves against the same matrix) and the
+field-coefficient product of graded polynomials all use it.
+
+Valuation and integrality read the integers directly.  x is integral iff p
+does not divide den: in canonical form some numerator is prime to p
+whenever p | den.  The valuation of sum c_{j,i} omega^i theta^j is the
+minimum of e * v_p(c_{j,i}) + j over nonzero coordinates, that is
+min e * (v_p(nums_k) - v_p(den)) + j.  The omega^i are a unit basis of the
+unramified ring, so each theta-layer sum_i c_{j,i} omega^i has p-adic
+valuation min_i v_p(c_{j,i}); the layers j = 0..e-1 then have distinct
+valuations modulo e, so the smallest one decides.
 """
 
 from __future__ import annotations
@@ -59,19 +72,20 @@ def is_prime(n):
     return True
 
 
+def _int_valuation(n, p):
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def padic_valuation_rational(r, p):
     """p-adic valuation of a Fraction; +infinity for 0."""
     if r == 0:
         return INFINITY
-    v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(r.numerator, p) - _int_valuation(r.denominator, p)
 
 
 def parse_rational(s):
@@ -186,23 +200,23 @@ class TowerDescriptor:
 
     def from_rational(self, r):
         r = Fraction(r)
-        coords = [[Fraction(0)] * self.f for _ in range(self.e)]
-        coords[0][0] = r
-        return FieldElement(self, coords)
+        nums = (r.numerator,) + (0,) * (self.d - 1)
+        return FieldElement.from_numerators(self, nums, r.denominator)
+
+    def _basis_element(self, k):
+        nums = [0] * self.d
+        nums[k] = 1
+        return FieldElement.from_numerators(self, nums, 1)
 
     def omega(self):
-        coords = [[Fraction(0)] * self.f for _ in range(self.e)]
         if self.f == 1:
             return self.zero()
-        coords[0][1] = Fraction(1)
-        return FieldElement(self, coords)
+        return self._basis_element(1)
 
     def theta(self):
-        coords = [[Fraction(0)] * self.f for _ in range(self.e)]
         if self.e == 1:
             return self.zero()
-        coords[1][0] = Fraction(1)
-        return FieldElement(self, coords)
+        return self._basis_element(self.f)
 
     def uniformizer(self):
         """theta when e > 1, otherwise p (the recorded choice)."""
@@ -214,8 +228,9 @@ class TowerDescriptor:
         return "theta" if self.e > 1 else "p"
 
     def structure_constants(self):
-        """Sparse multiplication table of the power basis: entry [k][l] lists
-        (m, c) with basis_k * basis_l = sum c * basis_m (flat index j*f+i)."""
+        """Integer multiplication table of the power basis and its common
+        denominator: (table, ds), where entry table[k][l] lists (m, s) with
+        basis_k * basis_l = sum (s / ds) * basis_m.  Built on first use."""
         if self._struct is None:
             f, e, d = self.f, self.e, self.d
             table = []
@@ -231,13 +246,18 @@ class TowerDescriptor:
                     flat = [c for rw in _basis_mul(self, a, b) for c in rw]
                     row.append(tuple((m, c) for m, c in enumerate(flat) if c))
                 table.append(row)
-            self._struct = table
+            ds = math.lcm(*(c.denominator for row in table for skl in row for _, c in skl))
+            self._struct = (
+                [[tuple((m, c.numerator * (ds // c.denominator)) for m, c in skl)
+                  for skl in row] for row in table],
+                ds,
+            )
         return self._struct
 
     # -- structural relations ------------------------------------------------
 
     def same_tower(self, other):
-        return (
+        return self is other or (
             self.p == other.p
             and self.unram_poly == other.unram_poly
             and self.eis_poly == other.eis_poly
@@ -349,9 +369,25 @@ def _basis_mul(T, ca, cb):
     return prod[:e]
 
 
+def mul_rows(tower, nums):
+    """Integer rows of the multiplication matrix of x = nums / den: rows[l]
+    lists (m, c) with x * basis_l = sum c / (den * ds) * basis_m, where ds
+    is the tower's structure-constant denominator."""
+    struct, _ = tower.structure_constants()
+    d = tower.d
+    rows = [[0] * d for _ in range(d)]
+    for ak, sk in zip(nums, struct):
+        if not ak:
+            continue
+        for row, skl in zip(rows, sk):
+            for m, s in skl:
+                row[m] += ak * s
+    return [[(m, v) for m, v in enumerate(row) if v] for row in rows]
+
+
 def mul_accumulate(acc, rows, b):
-    """acc += rows . b in place: add b_l * r_l for every nonzero b_l, with
-    rows as returned by `FieldElement.mul_rows`."""
+    """acc += rows . b in place on integers: add b_l * r_l for every nonzero
+    numerator b_l, with rows as returned by `mul_rows`."""
     for bl, row in zip(b, rows):
         if bl:
             for m, v in row:
@@ -359,29 +395,55 @@ def mul_accumulate(acc, rows, b):
 
 
 class FieldElement:
-    """Element of the fraction field, coords[j][i] the coefficient of
-    omega^i * theta^j."""
+    """Element of the fraction field: nums[j*f + i] / den is the coefficient
+    of omega^i * theta^j, in the canonical form of the module docstring.
+    `FieldElement(tower, coords)` takes rows of rationals, one per power of
+    theta."""
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "nums", "den")
 
     def __init__(self, tower, coords):
-        self.tower = tower
-        self.coords = tuple(
-            tuple(Fraction(c) for c in _upoly_pad(tuple(row), tower.f)) for row in coords
-        )
-        if len(self.coords) != tower.e:
+        if len(coords) != tower.e:
             raise FmcalcError("coordinate array has wrong theta-degree")
+        flat = []
+        for row in coords:
+            row = [Fraction(c) for c in row]
+            if len(row) > tower.f:
+                raise FmcalcError("coordinate row longer than the residue degree")
+            flat += row + [_ZERO] * (tower.f - len(row))
+        # Over the lcm of reduced denominators the form is already canonical.
+        den = math.lcm(*(c.denominator for c in flat))
+        self.tower = tower
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in flat)
+        self.den = den
 
-    # -- basic structure -------------------------------------------------------
-
-    def flat(self):
-        """Coordinates as one list, index j*f + i."""
-        return [c for row in self.coords for c in row]
+    @staticmethod
+    def from_numerators(tower, nums, den):
+        """The element nums / den (integers, den > 0), in canonical form."""
+        g = math.gcd(den, *nums)
+        z = object.__new__(FieldElement)
+        z.tower = tower
+        if g == 1:
+            z.nums, z.den = tuple(nums), den
+        else:
+            z.nums, z.den = tuple(n // g for n in nums), den // g
+        return z
 
     @staticmethod
     def from_flat(tower, flat):
+        """The element with rational coordinates flat[j*f + i]."""
         f = tower.f
         return FieldElement(tower, [flat[j * f : (j + 1) * f] for j in range(tower.e)])
+
+    # -- basic structure -------------------------------------------------------
+
+    @property
+    def coords(self):
+        """Coordinates as Fraction rows: coords[j][i] multiplies omega^i * theta^j."""
+        f, den, nums = self.tower.f, self.den, self.nums
+        return tuple(
+            tuple(Fraction(n, den) for n in nums[j : j + f]) for j in range(0, len(nums), f)
+        )
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -393,20 +455,24 @@ class FieldElement:
             )
 
     def is_zero(self):
-        return all(c == 0 for row in self.coords for c in row)
+        return not any(self.nums)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.tower.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.tower.same_tower(other.tower) and self.coords == other.coords
+        return (
+            self.tower.same_tower(other.tower)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash((self.tower, self.coords))
+        return hash((self.tower, self.nums, self.den))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -414,18 +480,20 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             other = self.tower.from_rational(other)
         self._check(other)
-        return FieldElement(
-            self.tower,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.coords, other.coords)
-            ],
-        )
+        da, db = self.den, other.den
+        if da == db:
+            nums = [a + b for a, b in zip(self.nums, other.nums)]
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            nums = [a * sa + b * sb for a, b in zip(self.nums, other.nums)]
+            da *= sa
+        return FieldElement.from_numerators(self.tower, nums, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.tower, [[-c for c in row] for row in self.coords])
+        return FieldElement.from_numerators(self.tower, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -436,40 +504,33 @@ class FieldElement:
         return self.tower.from_rational(other) - self
 
     def __mul__(self, other):
+        T = self.tower
         if isinstance(other, (int, Fraction)):
             r = Fraction(other)
-            return FieldElement(self.tower, [[c * r for c in row] for row in self.coords])
+            return FieldElement.from_numerators(
+                T, [n * r.numerator for n in self.nums], self.den * r.denominator
+            )
         self._check(other)
-        acc = [_ZERO] * self.tower.d
-        mul_accumulate(acc, self.mul_rows(), other.flat())
-        return FieldElement.from_flat(self.tower, acc)
+        acc = [0] * T.d
+        mul_accumulate(acc, mul_rows(T, self.nums), other.nums)
+        ds = T.structure_constants()[1]
+        return FieldElement.from_numerators(T, acc, self.den * other.den * ds)
 
     __rmul__ = __mul__
-
-    def mul_rows(self):
-        """Sparse rows of the multiplication-by-self matrix: rows[l] lists
-        (m, c) with self * basis_l = sum c * basis_m."""
-        struct = self.tower.structure_constants()
-        d = self.tower.d
-        rows = [[_ZERO] * d for _ in range(d)]
-        for ak, sk in zip(self.flat(), struct):
-            if not ak:
-                continue
-            for row, skl in zip(rows, sk):
-                for m, s in skl:
-                    row[m] += ak * s
-        return [[(m, v) for m, v in enumerate(row) if v] for row in rows]
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        d = self.tower.d
-        # Column l of M is self * basis_l; solve M x = e_0 by Gaussian
-        # elimination over Q.
-        M = [[_ZERO] * d + [Fraction(1 if r == 0 else 0)] for r in range(d)]
-        for l, row in enumerate(self.mul_rows()):
+        T = self.tower
+        d = T.d
+        # Column l of the integer matrix A is the numerator row of
+        # self * basis_l, so self * y = (A y) / (den * ds).  Solve
+        # A x = den * ds * e_0 by Gaussian elimination over Q.
+        scale = self.den * T.structure_constants()[1]
+        M = [[_ZERO] * d + [Fraction(scale if r == 0 else 0)] for r in range(d)]
+        for l, row in enumerate(mul_rows(T, self.nums)):
             for m, c in row:
-                M[m][l] = c
+                M[m][l] = Fraction(c)
         for col in range(d):
             piv = next((r for r in range(col, d) if M[r][col] != 0), None)
             if piv is None:
@@ -481,7 +542,7 @@ class FieldElement:
                 if r != col and M[r][col] != 0:
                     factor = M[r][col]
                     M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-        return FieldElement.from_flat(self.tower, [M[r][d] for r in range(d)])
+        return FieldElement.from_flat(T, [M[r][d] for r in range(d)])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -541,9 +602,9 @@ class FieldElement:
 
 
 def is_integral(z):
-    """True iff every power-basis coordinate is a p-integral rational."""
-    p = z.tower.p
-    return all(c.denominator % p != 0 for row in z.coords for c in row)
+    """True iff every power-basis coordinate is a p-integral rational, that
+    is, p does not divide the canonical denominator."""
+    return z.den % z.tower.p != 0
 
 
 def valuation(z):
@@ -551,9 +612,10 @@ def valuation(z):
     valuation(p) = e; valuation(0) = +infinity.  Closed form: see the module
     docstring."""
     T = z.tower
+    p, e, f = T.p, T.e, T.f
+    v_den = _int_valuation(z.den, p)
     return min(
-        (T.e * padic_valuation_rational(c, T.p) + j
-         for j, row in enumerate(z.coords) for c in row if c),
+        (e * (_int_valuation(n, p) - v_den) + k // f for k, n in enumerate(z.nums) if n),
         default=INFINITY,
     )
 
@@ -563,7 +625,8 @@ def residue(z):
     if not is_integral(z):
         raise NotIntegral("residue of a non-integral element")
     T = z.tower
-    vec = [_fraction_mod_p(c, T.p) for c in z.coords[0]]
+    inv = pow(z.den, -1, T.p)
+    vec = [n * inv % T.p for n in z.nums[: T.f]]
     return ResidueElement(T, modp.fq_reduce(vec, T.gbar, T.p))
 
 
@@ -640,12 +703,10 @@ def embed(z, target):
         raise NotSubtower(
             "%s is not a structural subtower of %s" % (src.label, target.label)
         )
-    if src.same_tower(target):
-        return FieldElement(target, z.coords)
-    coords = [[Fraction(0)] * target.f for _ in range(target.e)]
-    for i, c in enumerate(z.coords[0]):
-        coords[0][i] = c
-    return FieldElement(target, coords)
+    # A proper structural subtower has e = 1: its coordinates are the
+    # leading omega-coordinates of the theta^0 row.
+    nums = z.nums + (0,) * (target.d - src.d)
+    return FieldElement.from_numerators(target, nums, z.den)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from fmcalc import numberring as nr
 from fmcalc.errors import (
     DivisionByZero,
+    FmcalcError,
     NoSuitablePrimeFound,
     NotEisenstein,
     NotIntegral,
@@ -86,6 +87,12 @@ class TestFieldArithmetic:
         other = nr.make_tower(2, [0, 1], [-6, 0, 1])
         with pytest.raises(TowerMismatch):
             self.t.one() + other.one()
+
+    def test_malformed_coordinates_rejected(self):
+        with pytest.raises(FmcalcError):
+            nr.FieldElement(self.t, [[1]])  # one row for e = 2
+        with pytest.raises(FmcalcError):
+            nr.FieldElement(self.t, [[1, 2], [0]])  # two coordinates for f = 1
 
     def test_inverse_roundtrip_random(self):
         rng = random.Random(11)

@@ -1,7 +1,9 @@
-"""Property tests of the exact-arithmetic layer: the multiplication kernel
-against the polynomial-reduction reference, inverses, the closed-form
-valuation, graded products and multivariate division."""
+"""Property tests of the exact-arithmetic layer: the integer-numerator
+representation, the multiplication kernel against the polynomial-reduction
+reference, inverses, the closed-form valuation, graded products and
+multivariate division."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -23,6 +25,7 @@ from fmcalc.numberring import (
     _basis_mul,
     is_integral,
     make_tower,
+    padic_valuation_rational,
     residue,
     valuation,
 )
@@ -35,6 +38,8 @@ TOWERS = [
     # Eisenstein polynomial x^2 + 3w*x + 3w over Q3(w), w^2 = -1.
     make_tower(3, [1, 0, 1], [[0, 3], [0, 3], [1]], "f=2, x^2+3wx+3w over Q3"),
     make_tower(5, [0, 1], [-5, 0, 1], "Q5(x^2-5)"),
+    # Rational Eisenstein polynomial: structure constants over ds = 2.
+    make_tower(3, [0, 1], [Fraction(-3, 2), 0, 1], "Q3(x^2-3/2)"),
 ]
 
 PROPERTY_SETTINGS = settings(
@@ -78,6 +83,63 @@ def polys(ring, coeffs, max_terms):
     )
 
 
+def _assert_canonical(x):
+    assert len(x.nums) == x.tower.d
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    if not x:
+        assert x.nums == (0,) * x.tower.d and x.den == 1
+
+
+def test_rational_tower_scales_structure_constants():
+    assert TOWERS[-1].structure_constants()[1] == 2
+    assert all(T.structure_constants()[1] == 1 for T in TOWERS[:-1])
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(2))
+def test_results_are_canonical(args):
+    tower, x, y = args
+    for z in (x, y, x + y, x - y, x - x, x * y, x * Fraction(3, 4), -x, tower.zero()):
+        _assert_canonical(z)
+    if x:
+        _assert_canonical(x.inverse())
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(1), st.integers(1, 36))
+def test_coords_round_trip_and_scaled_numerators(args, k):
+    tower, x = args
+    assert all(isinstance(c, Fraction) for row in x.coords for c in row)
+    for z in (
+        FieldElement(tower, x.coords),
+        FieldElement.from_numerators(tower, [k * n for n in x.nums], k * x.den),
+    ):
+        assert (z.nums, z.den) == (x.nums, x.den)
+        assert z == x and hash(z) == hash(x)
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(2))
+def test_equal_elements_hash_equal(args):
+    tower, x, y = args
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(1))
+def test_integrality_and_valuation_match_per_coordinate_reference(args):
+    tower, x = args
+    p, e = tower.p, tower.e
+    coords = x.coords
+    assert is_integral(x) == all(c.denominator % p for row in coords for c in row)
+    assert valuation(x) == min(
+        (e * padic_valuation_rational(c, p) + j
+         for j, row in enumerate(coords) for c in row if c),
+        default=float("inf"),
+    )
+
+
 @PROPERTY_SETTINGS
 @given(tower_and_elements(2))
 def test_product_matches_polynomial_reduction(args):
@@ -105,6 +167,39 @@ def test_graded_product_is_sum_of_coefficient_products(data):
         for m2, c2 in g.terms.items():
             expected = expected + GradedPoly(ring, {monomial_mul(m1, m2): c1 * c2})
     assert f * g == expected
+
+
+def _termwise_product(f, g):
+    """f * g summed term by term with monomial_mul, keys in first-seen
+    order with f's terms outermost."""
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = monomial_mul(m1, m2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_graded_product_with_skipped_generators():
+    # Monomials in v_1, v_2, v_3, v_5 of a ring with N = 6: the products
+    # skip v_4 and v_6, and v_1*v_2*v_5^4 arises twice.
+    for ring, c in [
+        (PolyRing(TOWERS[1], N=6), TOWERS[1].theta() + Fraction(1, 3)),
+        (PolyRing(TOWERS[-1], N=6), TOWERS[-1].theta() * Fraction(2, 5)),
+        (PolyRing(TOWERS[4], N=6, coefficients="residue"), ResidueElement(TOWERS[4], (0, 1))),
+    ]:
+        one = ring.coeff_one()
+        f = GradedPoly(ring, {monomial({2: 1, 5: 3}): one, monomial({1: 1, 5: 1}): c})
+        g = GradedPoly(ring, {
+            monomial({1: 1, 5: 1}): c,
+            monomial({3: 2}): one,
+            monomial({2: 1, 5: 3}): one,
+        })
+        product = f * g
+        expected = _termwise_product(f, g)
+        assert monomial({1: 1, 2: 1, 5: 4}) in expected
+        assert list(product.terms) == list(expected)
+        assert product.terms == expected
 
 
 @PROPERTY_SETTINGS
