@@ -1,25 +1,24 @@
 """Smoke test of tools/workcount.py on a three-job slice of gamma-cold."""
 
+import importlib.util
 import pathlib
-import subprocess
-import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_workcount_reports_call_counts():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "workcount.py"), "--workload", "gamma-cold",
-         "--seed", "1", "--jobs", "3", "fractions._mul", "numberring.inverse"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "workload gamma-cold seed 1: 3 jobs, 0 nonzero exits, 0 raised"
-    assert lines[1].startswith("total calls ") and int(lines[1].split()[-1]) > 0
-    counted = {line.split()[0] for line in lines[2:]}
-    assert counted == {"fractions._mul", "numberring.inverse"}
+def load_workcount():
+    spec = importlib.util.spec_from_file_location("workcount", ROOT / "tools" / "workcount.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workcount_reports_call_counts(tmp_path):
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["gamma-cold"](1)[:3]
+    stats, nonzero, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), True)
+    assert (nonzero, raised) == (0, 0)
+    assert stats.total_calls > 0
     # One hazewinkel_log per job, each taking pi^-1 once.
-    inverse_calls = sum(int(line.split()[-1]) for line in lines[2:]
-                        if line.startswith("numberring.inverse"))
-    assert inverse_calls == 3
+    inverse_rows = wc.named_counts(stats, ["numberring.inverse"])
+    assert sum(calls for _, _, calls in inverse_rows) == 3

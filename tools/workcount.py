@@ -1,12 +1,11 @@
 """Profiled work counts of one benchmark workload's job list.
 
-    python3 tools/workcount.py --workload gamma-cold --seed 1 [--jobs K] [NAME ...]
+    python3 tools/workcount.py --workload gamma-cold --seed 1 [NAME ...]
 
-Runs the seed's job list from perfbench/workloads.py (the first K jobs with
---jobs) through `fmcalc.cli.main`, one job after another in this one
-interpreter, under cProfile; the jobs' output is discarded.  It then prints
-the total number of function calls and the call count of every function
-named by a NAME, written module.function: for example fractions._mul or
+Runs the seed's job list from perfbench/workloads.py through
+`fmcalc.cli.main`, one job after another in this one interpreter, under
+cProfile; the jobs' output is discarded.  It then prints the total number
+of function calls and the call count of every function named by a NAME, written module.function: for example fractions._mul or
 numberring.inverse.  Each function of that name in that module gets its own
 line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic and `numberring` inverses.
@@ -21,7 +20,6 @@ import argparse
 import contextlib
 import cProfile
 import io
-import json
 import os
 import pstats
 import sys
@@ -31,27 +29,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import run  # noqa: E402  (perfbench/run.py, for materialize)
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from fmcalc import formal, gamma  # noqa: E402
 from fmcalc.cli import main as fmcalc_main  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
                  "numberring.inverse"]
-
-
-def argvs(jobs, workdir):
-    """Each job's argv, with {input} replaced by the path of its written
-    input file."""
-    out = []
-    for i, job in enumerate(jobs):
-        argv = list(job["argv"])
-        if "input" in job:
-            path = os.path.join(workdir, "input%d.json" % i)
-            with open(path, "w") as fh:
-                json.dump(job["input"], fh)
-            argv = [path if a == "{input}" else a for a in argv]
-        out.append(argv)
-    return out
 
 
 def profile_jobs(job_argvs, fresh_caches):
@@ -96,16 +80,14 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="run only the first JOBS jobs of the list")
     ap.add_argument("names", nargs="*", default=DEFAULT_NAMES,
                     help="functions to count, as module.function")
     args = ap.parse_args(argv)
 
-    jobs = workloads.GENERATORS[args.workload](args.seed)[: args.jobs]
+    jobs = workloads.GENERATORS[args.workload](args.seed)
     with tempfile.TemporaryDirectory() as workdir:
         stats, nonzero, raised = profile_jobs(
-            argvs(jobs, workdir), fresh_caches=args.workload == "gamma-cold")
+            run.materialize(jobs, workdir), fresh_caches=args.workload == "gamma-cold")
     print("workload %s seed %d: %d jobs, %d nonzero exits, %d raised"
           % (args.workload, args.seed, len(jobs), nonzero, raised))
     print("total calls %d" % stats.total_calls)
