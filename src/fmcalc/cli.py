@@ -8,6 +8,7 @@ or verdict produced, 1 on any check failure, 2 on usage/config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -378,16 +379,36 @@ def cmd_splitting(args, settings):
         return report, 1
 
 
+def _read_presentations(spec):
+    """The {degree: matrix} object of a matrices file, checked: each matrix
+    a list of rows of numbers, all rows of one length."""
+    degrees = spec.get("degrees", {}) if isinstance(spec, dict) else None
+    if not isinstance(degrees, dict):
+        raise ConfigParseError("matrices file must be an object with a 'degrees' object")
+    for degree, matrix in degrees.items():
+        if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+            raise ConfigParseError("degree %s: a matrix must be a list of rows" % degree)
+        if len({len(row) for row in matrix}) > 1:
+            raise ConfigParseError("degree %s: matrix rows differ in length" % degree)
+        if not all(isinstance(x, (int, float)) for row in matrix for x in row):
+            raise ConfigParseError("degree %s: matrix entries must be numbers" % degree)
+    return degrees
+
+
 def cmd_localcoh(args, settings):
     try:
         with open(args.matrices) as fh:
             spec = json.load(fh)
     except (OSError, ValueError) as ex:
         raise ConfigParseError("cannot read matrices file: %s" % ex)
-    p = int(spec.get("p", settings.get("p") or 0))
+    degrees = _read_presentations(spec)
+    try:
+        p = int(spec.get("p", settings.get("p") or 0))
+    except (TypeError, ValueError):
+        raise ConfigParseError("matrices file: p must be an integer")
     if p < 2:
         raise UsageError("localcoh requires a prime p in the JSON or via --p")
-    rep = torsion.local_cohomology_degreewise(spec.get("degrees", {}), p)
+    rep = torsion.local_cohomology_degreewise(degrees, p)
     report = _with_common({"command": "localcoh"} | rep, settings)
     return report, 0
 
@@ -401,7 +422,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every run_command call can share it."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file (or FMCALC_CONFIG)")
     common.add_argument("--p", type=int)

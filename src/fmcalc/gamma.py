@@ -320,21 +320,27 @@ def eventual_division_witness(table, n, m_max):
         "m_max": m_max,
         "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1),
     }
+    powers = [table.target_ring.one(), g_next]  # powers[m] = g_next^m, built on demand
+
+    def power(m):
+        while len(powers) <= m:
+            powers.append(powers[-1] * g_next)
+        return powers[m]
+
     if n == 1:
         mod_pi = None
         for m in _powers_of_p_up_to(p, m_max):
-            if reduce_mod_ideal(g_next ** m, n).is_zero():
+            if reduce_mod_ideal(power(m), n).is_zero():
                 mod_pi = m
                 break
         report["zero_case_mod_uniformizer"] = mod_pi
     for m in _powers_of_p_up_to(p, m_max):
-        if in_ideal_In(g_next ** m, n):
+        if in_ideal_In(power(m), n):
             report.update({"found": True, "case": "zero", "m": m, "y": "0"})
             return report
     for m in range(1, m_max + 1):
         # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
-        power = g_next ** m
-        quot, rem = poly_divide(power, g_n) if g_n else (g_n, power)
+        quot, rem = poly_divide(power(m), g_n) if g_n else (g_n, power(m))
         if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
             report.update(
                 {"found": True, "case": "divide", "m": m, "y": quot.to_json()}

@@ -8,7 +8,7 @@ beats v_1^n * v_2 for every n.
 
 from __future__ import annotations
 
-import functools
+import heapq
 import math
 from fractions import Fraction
 from operator import add
@@ -89,18 +89,27 @@ def monomial_lcm(x, y):
     return tuple(sorted(out.items()))
 
 
+def monomial_key(m):
+    """Sort key of the monomial order: the (index, exponent) pairs from the
+    highest index down.  Tuples compare pair by pair, so the first
+    difference decides, and a monomial that extends another by lower
+    generators is the larger."""
+    return m[::-1]
+
+
 def compare_monomials(x, y):
     """Total order: compare exponents from the largest generator index
     present in either monomial, descending; first difference decides."""
-    dx, dy = dict(x), dict(y)
-    for n in sorted(set(dx) | set(dy), reverse=True):
-        a, b = dx.get(n, 0), dy.get(n, 0)
-        if a != b:
-            return GT if a > b else LT
-    return EQ
+    kx, ky = monomial_key(x), monomial_key(y)
+    return GT if kx > ky else LT if kx < ky else EQ
 
 
-MONOMIAL_KEY = functools.cmp_to_key(compare_monomials)
+def _descending_key(m):
+    """Key whose ascending order is the descending monomial order, for a
+    min-heap: the pairs of monomial_key negated, closed by (0, 0), which
+    ranks above every negated pair, so a monomial comes after its
+    extensions."""
+    return tuple((-n, -a) for n, a in reversed(m)) + ((0, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,7 @@ class GradedPoly:
 
     def sorted_terms(self):
         """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: MONOMIAL_KEY(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     def weight(self):
         """Weight when homogeneous; None for 0; raises otherwise."""
@@ -385,7 +394,7 @@ class ResidueGradedPoly(GradedPoly):
 def leading_monomial(f):
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has no leading monomial")
-    return max(f.terms, key=MONOMIAL_KEY)
+    return max(f.terms, key=monomial_key)
 
 
 def leading_term(f):
@@ -398,26 +407,43 @@ def divide(f, divisors):
     with f = sum q_i * d_i + r and no term of r divisible by any lm(d_i).
     Each step reduces the leading term of what is left by the first
     divisor whose leading monomial divides it; coefficients divide exactly
-    (field or residue field).  A zero divisor raises ZeroPolynomial."""
+    (field or residue field).  A zero divisor raises ZeroPolynomial.
+
+    What is left is one dict, changed in place; a heap of its monomials
+    yields the leading one, skipping monomials that have since cancelled."""
     ring = f.ring
     leads = [leading_term(d) for d in divisors]
     lc_invs = [None] * len(divisors)  # taken on a divisor's first hit
     quots = [{} for _ in divisors]
     rem = {}
-    work = f
-    while work:
-        m, c = leading_term(work)
+    work = dict(f.terms)
+    heap = [(_descending_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         for i, (lm, lc) in enumerate(leads):
             ratio = monomial_divide(m, lm)
             if ratio is not None:
                 if lc_invs[i] is None:
                     lc_invs[i] = lc.inverse()
                 q = quots[i][ratio] = c * lc_invs[i]
-                work = work - GradedPoly(ring, {ratio: q}) * divisors[i]
+                # Subtracting q * ratio * d_i cancels the term at m.
+                for t, s in (GradedPoly(ring, {ratio: q}) * divisors[i]).terms.items():
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -s
+                        heapq.heappush(heap, (_descending_key(t), t))
+                    elif old == s:
+                        del work[t]
+                    else:
+                        work[t] = old - s
                 break
         else:
             rem[m] = c
-            work = GradedPoly(ring, {k: v for k, v in work.terms.items() if k != m})
+            del work[m]
     return [GradedPoly(ring, q) for q in quots], GradedPoly(ring, rem)
 
 
@@ -498,7 +524,7 @@ def graded_basis(ring, weight_bound):
 
     rec2(N, 0, [])
     for w in by_weight:
-        by_weight[w].sort(key=MONOMIAL_KEY, reverse=True)
+        by_weight[w].sort(key=monomial_key, reverse=True)
     return by_weight
 
 

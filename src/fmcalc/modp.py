@@ -213,7 +213,8 @@ def smallest_irreducible(p, n):
 
 
 def fq_reduce(vec, gbar, p):
-    return poly_divmod(make(vec, p), gbar, p)[1]
+    vec = make(vec, p)
+    return vec if len(vec) < len(gbar) else poly_divmod(vec, gbar, p)[1]
 
 
 def fq_add(a, b, p):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutsideScope, TruncationUnsound
+from .errors import NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
 from .gradedpoly import (
     GradedPoly,
-    MONOMIAL_KEY,
     PolyRing,
     ResidueGradedPoly,
     divide,
@@ -23,6 +22,7 @@ from .gradedpoly import (
     leading_term,
     monomial,
     monomial_divide,
+    monomial_key,
     monomial_lcm,
     monomial_mul,
     monomial_weight,
@@ -166,7 +166,7 @@ def groebner_basis(gens, degree_bound):
     for b in reduced:
         if b not in seen:
             seen.append(b)
-    seen.sort(key=lambda b: MONOMIAL_KEY(leading_term(b)[0]))
+    seen.sort(key=lambda b: monomial_key(leading_term(b)[0]))
     return GroebnerBasis(p=p, basis=seen, degree_bound=degree_bound, truncated=truncated)
 
 
@@ -199,26 +199,46 @@ def module_groebner(module, degree_bound=None):
 # Torsion and eventual-division scans
 
 
+def _scan_ring(module, gb):
+    return gb.basis[0].ring if gb.basis else PolyRing(
+        trivial_tower(module.p), N=module.N, coefficients="residue"
+    )
+
+
+def _power_normal_forms(gb, ring, n):
+    """NF(v_n^k) for k = 1, 2, ...: each is the normal form of v_n times
+    the one before.  On a complete basis the normal form is unique, so this
+    is NF(v_n^k); a truncated basis raises on the first nonzero form, at
+    k = 1, before any product is taken.  Multiplying by v_n only raises an
+    exponent, so no coefficient is multiplied."""
+    nf = ring.one()
+    while True:
+        nf = normal_form(
+            ResidueGradedPoly(ring, {monomial_mul(m, ((n, 1),)): c for m, c in nf.terms.items()}),
+            gb,
+        )
+        yield nf
+
+
 def is_vn_power_torsion(module, n, k_max, gb=None):
     """Smallest k <= k_max with v_n^k = 0 in R/J, else a bounded 'no' with
     the nonzero normal forms as replayable witnesses."""
     if gb is None:
         gb = module_groebner(module)
-    ring = gb.basis[0].ring if gb.basis else PolyRing(
-        trivial_tower(module.p), N=module.N, coefficients="residue"
-    )
-    nonzero = []
-    for k in range(1, k_max + 1):
-        f = ResidueGradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
-        nf = normal_form(f, gb)
+    ring = _scan_ring(module, gb)
+    forms = {}
+    for k, nf in zip(range(1, k_max + 1), _power_normal_forms(gb, ring, n)):
         if nf.is_zero():
             return {"torsion": True, "k": k, "n": n}
-    # record a few nonzero normal forms as witnesses
+        forms[k] = nf
+    # record a few nonzero normal forms as witnesses; k_max < 1 scans none
+    nonzero = []
     for k in (1, k_max):
-        f = ResidueGradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
-        nonzero.append(
-            {"element": "v_%d^%d" % (n, k), "normal_form": normal_form(f, gb).to_json()}
-        )
+        if k not in forms:
+            forms[k] = normal_form(
+                ResidueGradedPoly(ring, {monomial({n: k}): ring.coeff_one()}), gb
+            )
+        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": forms[k].to_json()})
     return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": nonzero}
 
 
@@ -227,12 +247,8 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
     is preferred over the division case at equal m."""
     if gb is None:
         gb = module_groebner(module)
-    ring = gb.basis[0].ring if gb.basis else PolyRing(
-        trivial_tower(module.p), N=module.N, coefficients="residue"
-    )
-    for m in range(1, m_max + 1):
-        f = ResidueGradedPoly(ring, {monomial({r_index: m}): ring.coeff_one()})
-        nf = normal_form(f, gb)
+    ring = _scan_ring(module, gb)
+    for m, nf in zip(range(1, m_max + 1), _power_normal_forms(gb, ring, r_index)):
         if nf.is_zero():
             return {"found": True, "case": "zero", "m": m, "y": "0",
                     "r": r_index, "s": s_index}
@@ -247,42 +263,51 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
 # Smith normal form and degreewise local cohomology
 
 
-def smith_normal_form(A):
-    """U, D, V with U*A*V = D diagonal, U and V unimodular, and each
-    diagonal entry dividing the next; exact integer arithmetic."""
-    A = [list(map(int, row)) for row in A]
+def _add_row(M, i1, i2, c):  # row i1 += c * row i2
+    M[i1] = [a + c * b for a, b in zip(M[i1], M[i2])]
+
+
+def _swap_rows(M, i1, i2):
+    M[i1], M[i2] = M[i2], M[i1]
+
+
+def _negate_row(M, i):
+    M[i] = [-a for a in M[i]]
+
+
+def _add_col(M, j1, j2, c):  # column j1 += c * column j2
+    for row in M:
+        row[j1] += c * row[j2]
+
+
+def _swap_cols(M, j1, j2):
+    for row in M:
+        row[j1], row[j2] = row[j2], row[j1]
+
+
+def _int_rows(A):
+    rows = [list(map(int, row)) for row in A]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows differ in length")
+    return rows
+
+
+def _smith_eliminate(A):
+    """Bring the integer matrix A (a list of row lists, changed in place) to
+    Smith form: diagonal, nonnegative, each diagonal entry dividing the
+    next.  Returns the row operations and the column operations it applied,
+    in order, as (operation, arguments) pairs."""
     g = len(A)
     r = len(A[0]) if g else 0
-    U = [[int(i == j) for j in range(g)] for i in range(g)]
-    V = [[int(i == j) for j in range(r)] for i in range(r)]
+    row_ops, col_ops = [], []
 
-    def row_op(i1, i2, c):  # row i1 += c * row i2 (in A and U)
-        for k in range(r):
-            A[i1][k] += c * A[i2][k]
-        for k in range(g):
-            U[i1][k] += c * U[i2][k]
+    def on_rows(op, *args):
+        op(A, *args)
+        row_ops.append((op, args))
 
-    def col_op(j1, j2, c):
-        for k in range(g):
-            A[k][j1] += c * A[k][j2]
-        for k in range(r):
-            V[k][j1] += c * V[k][j2]
-
-    def row_swap(i1, i2):
-        A[i1], A[i2] = A[i2], A[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-
-    def col_swap(j1, j2):
-        for k in range(g):
-            A[k][j1], A[k][j2] = A[k][j2], A[k][j1]
-        for k in range(r):
-            V[k][j1], V[k][j2] = V[k][j2], V[k][j1]
-
-    def row_negate(i):
-        for k in range(r):
-            A[i][k] = -A[i][k]
-        for k in range(g):
-            U[i][k] = -U[i][k]
+    def on_cols(op, *args):
+        op(A, *args)
+        col_ops.append((op, args))
 
     t = 0
     while t < min(g, r):
@@ -294,21 +319,19 @@ def smith_normal_form(A):
                     pivot = (i, j)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        on_rows(_swap_rows, t, pivot[0])
+        on_cols(_swap_cols, t, pivot[1])
         if A[t][t] < 0:
-            row_negate(t)
+            on_rows(_negate_row, t)
         dirty = False
         for i in range(t + 1, g):
             if A[i][t]:
-                qv = A[i][t] // A[t][t]
-                row_op(i, t, -qv)
+                on_rows(_add_row, i, t, -(A[i][t] // A[t][t]))
                 if A[i][t]:
                     dirty = True
         for j in range(t + 1, r):
             if A[t][j]:
-                qv = A[t][j] // A[t][t]
-                col_op(j, t, -qv)
+                on_cols(_add_col, j, t, -(A[t][j] // A[t][t]))
                 if A[t][j]:
                     dirty = True
         if dirty:
@@ -326,16 +349,34 @@ def smith_normal_form(A):
             # fold the offending row into the pivot row and redo the step;
             # afterwards the pivot divides the whole remaining block, which
             # is what makes the final diagonal a divisibility chain
-            row_op(t, bad, 1)
+            on_rows(_add_row, t, bad, 1)
             continue
         t += 1
-    return U, A, V
+    return row_ops, col_ops
+
+
+def smith_normal_form(A):
+    """U, D, V with U*A*V = D diagonal, U and V unimodular, and each
+    diagonal entry dividing the next; exact integer arithmetic.  The
+    elimination runs on A alone; U and V replay its row and column
+    operations on identity matrices."""
+    D = _int_rows(A)
+    row_ops, col_ops = _smith_eliminate(D)
+    U = [[int(i == j) for j in range(len(D))] for i in range(len(D))]
+    r = len(D[0]) if D else 0
+    V = [[int(i == j) for j in range(r)] for i in range(r)]
+    for op, args in row_ops:
+        op(U, *args)
+    for op, args in col_ops:
+        op(V, *args)
+    return U, D, V
 
 
 def local_cohomology_degreewise(presentations, p):
     """Per degree: M_d = coker(Z^r -> Z^g) from a g x r integer matrix;
     H0 at (p) lists the p-power elementary divisors, H1 corank is the free
-    rank; H^n vanishes for n >= 2."""
+    rank; H^n vanishes for n >= 2.  Only the Smith diagonal is needed, so
+    no transformation matrices are built."""
     report = {}
     for degree, matrix in presentations.items():
         if not matrix or not matrix[0]:
@@ -344,11 +385,10 @@ def local_cohomology_degreewise(presentations, p):
             continue
         for row in matrix:
             for x in row:
-                if int(x) != x:
-                    from .errors import NonIntegerMatrix
-
+                if isinstance(x, float) and not x.is_integer() or int(x) != x:
                     raise NonIntegerMatrix("presentation entries must be integers")
-        _, D, _ = smith_normal_form(matrix)
+        D = _int_rows(matrix)
+        _smith_eliminate(D)
         g = len(matrix)
         diag = [D[i][i] for i in range(min(g, len(matrix[0])))]
         rank = sum(1 for x in diag if x != 0)

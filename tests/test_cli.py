@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from fmcalc.cli import main, parse_poly_string
+from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
 
 
@@ -176,6 +180,15 @@ class TestCommands:
         assert rep["degrees"]["0"]["H0_invariants"] == [4]
         assert rep["degrees"]["0"]["H1_corank"] == 1
 
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[2, 2], [3, "a"]]],
+                             ids=["ragged", "non-numeric"])
+    def test_localcoh_malformed_matrix(self, capsys, tmp_path, matrix):
+        spec = tmp_path / "lc.json"
+        spec.write_text(json.dumps({"p": 2, "degrees": {"0": matrix}}))
+        code, out, err = run(capsys, "localcoh", str(spec))
+        assert code == 2 and out == ""
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "tower", "check", "--p", "2",
                            "--output", "text")
@@ -199,3 +212,41 @@ class TestCommands:
                            "--f", "2", "--N", "3")
         assert code == 0
         assert json.loads(out)["witnesses"][0]["found"] is False
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_alone(argv):
+    """One invocation in a fresh interpreter: (exit code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("FMCALC_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-m", "fmcalc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_session_reuses_parser_without_leaks(capsys, tmp_path, monkeypatch):
+    # One interpreter shares one parser across calls.  Options set by one
+    # call (a seed, text output, a k bound, a p bound) must not reach the
+    # next, so each call prints what it prints when run alone.
+    monkeypatch.delenv("FMCALC_CONFIG", raising=False)
+    module = tmp_path / "mod.json"
+    module.write_text(json.dumps(MOD_P2))
+    matrices = tmp_path / "lc.json"
+    matrices.write_text(json.dumps({"p": 2, "degrees": {"0": [[4, 6], [2, 8]]}}))
+    session = [
+        ["verify", "kappa", "--p", "2", "--e", "2", "--N", "4", "--seed", "7",
+         "--output", "text"],
+        ["gamma", "--p", "2", "--e", "2", "--N", "2"],
+        ["obstruct", str(module), "--kmax", "3", "--bogus"],
+        ["obstruct", str(module)],
+        ["localcoh", str(matrices)],
+        ["splitting", "x^3-2", "--pmax", "50"],
+    ]
+    results = [run(capsys, *argv)[:2] for argv in session]
+    assert build_parser() is build_parser()
+    assert [code for code, _ in results] == [0, 0, 2, 0, 0, 0]
+    assert json.loads(results[1][1])["seed"] == 0
+    assert json.loads(results[3][1])["certificate"]["bounds"]["k_max"] == 20
+    assert results == [run_alone(argv) for argv in session]

@@ -1,7 +1,8 @@
 """Property tests of the exact-arithmetic layer: the integer-numerator
 representation, the multiplication kernel against the polynomial-reduction
-reference, inverses, the closed-form valuation, graded products and
-multivariate division."""
+reference, inverses, the closed-form valuation, graded products,
+multivariate division and the monomial order, normal forms modulo Groebner
+bases over F_p, and Smith normal form."""
 
 import math
 from fractions import Fraction
@@ -9,15 +10,23 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from fmcalc import torsion as ts
 from fmcalc.formal import trivial_tower
 from fmcalc.gradedpoly import (
+    EQ,
+    GT,
+    LT,
     GradedPoly,
     PolyRing,
+    compare_monomials,
     divide,
+    graded_basis,
     leading_monomial,
     monomial,
     monomial_divide,
+    monomial_key,
     monomial_mul,
+    monomial_weight,
 )
 from fmcalc.numberring import (
     FieldElement,
@@ -235,6 +244,9 @@ def _check_division(f, divisors):
     leads = [leading_monomial(d) for d in divisors]
     for m in rem.terms:
         assert all(monomial_divide(m, lm) is None for lm in leads)
+    # Each step takes the leading term of what is left, so the remainder's
+    # terms arrive in descending order.
+    assert list(rem.terms) == sorted(rem.terms, key=monomial_key, reverse=True)
 
 
 @PROPERTY_SETTINGS
@@ -260,3 +272,146 @@ def test_divide_over_residue_coefficients(data):
     divisors = data.draw(st.lists(polys(ring, coeffs, 2), min_size=1, max_size=3))
     assume(all(divisors))
     _check_division(f, divisors)
+
+
+def _reference_compare(x, y):
+    """The monomial order by its definition: exponents compared from the
+    highest generator index present in either monomial down."""
+    dx, dy = dict(x), dict(y)
+    for n in sorted(set(dx) | set(dy), reverse=True):
+        a, b = dx.get(n, 0), dy.get(n, 0)
+        if a != b:
+            return GT if a > b else LT
+    return EQ
+
+
+# Monomials in v_1..v_4 with gaps, so one often extends another.
+sparse_monomials = st.dictionaries(
+    st.integers(1, 4), st.integers(1, 3), max_size=4
+).map(monomial)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(sparse_monomials, min_size=2, max_size=12))
+def test_monomial_key_agrees_with_the_order(ms):
+    for x in ms:
+        for y in ms:
+            ref = _reference_compare(x, y)
+            assert compare_monomials(x, y) == ref
+            assert (monomial_key(x) > monomial_key(y)) == (ref == GT)
+    assert sorted(ms, key=monomial_key) == sorted(
+        ms, key=lambda m: [_reference_compare(m, y) for y in ms].count(GT)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Normal forms over F_p
+
+
+RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), N=3, coefficients="residue") for p in (2, 3)}
+RESIDUE_BASES = {p: graded_basis(ring, 2 * (ring.q ** 3 - 1)) for p, ring in RESIDUE_RINGS.items()}
+
+
+@st.composite
+def homogeneous_polys(draw, p, lead=None):
+    """A homogeneous polynomial over F_p in v_1..v_3: `lead` (default: a
+    random monomial of small weight) plus up to three other monomials of
+    its weight, all with nonzero coefficients."""
+    ring = RESIDUE_RINGS[p]
+    if lead is None:
+        weights = [w for w in range(1, p * p + 3) if RESIDUE_BASES[p][w]]
+        lead = draw(st.sampled_from(RESIDUE_BASES[p][draw(st.sampled_from(weights))]))
+    others = [m for m in RESIDUE_BASES[p][monomial_weight(lead, p)] if m != lead]
+    tail = draw(st.lists(st.sampled_from(others), max_size=3, unique=True)) if others else []
+    coeffs = st.integers(1, p - 1).map(ring.coeff_from_int)
+    return GradedPoly(ring, {m: draw(coeffs) for m in [lead] + tail})
+
+
+@st.composite
+def complete_bases(draw):
+    """(ring, generators, basis) with a basis that was not truncated.  Each
+    generator holds a power v_n^a, n <= 3 and a <= 2, so powers of the v_n
+    reduce to other monomials."""
+    p = draw(st.sampled_from([2, 3]))
+    powers = st.builds(lambda n, a: monomial({n: a}), st.integers(1, 3), st.integers(1, 2))
+    gens = draw(st.lists(powers.flatmap(lambda m: homogeneous_polys(p, m)), min_size=1, max_size=3))
+    gb = ts.groebner_basis(gens, 10 ** 6)
+    assume(not gb.truncated)
+    return RESIDUE_RINGS[p], gens, gb
+
+
+@PROPERTY_SETTINGS
+@given(complete_bases(), st.data())
+def test_normal_form_is_idempotent_and_independent_of_generator_order(args, data):
+    ring, gens, gb = args
+    f = data.draw(homogeneous_polys(ring.tower.p))
+    nf = ts.normal_form(f, gb)
+    assert ts.normal_form(nf, gb) == nf
+    assert ts.normal_form(f - nf, gb).is_zero()
+    order = data.draw(st.permutations(gens))
+    assert ts.normal_form(f, ts.groebner_basis(order, 10 ** 6)) == nf
+
+
+@PROPERTY_SETTINGS
+@given(complete_bases(), st.integers(1, 3))
+def test_scanned_powers_match_normal_forms_from_scratch(args, n):
+    ring, _, gb = args
+    for k, nf in zip(range(1, 9), ts._power_normal_forms(gb, ring, n)):
+        power = GradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
+        assert nf == ts.normal_form(power, gb)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+
+
+def _det(M):
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    M = [row[:] for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1] if n else 1
+
+
+def _matmul(X, Y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+@st.composite
+def integer_matrices(draw):
+    g = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-10 ** 6, 10 ** 6))
+    rows = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=g, max_size=g))
+    zero_rows = draw(st.sets(st.integers(0, g - 1), max_size=2))
+    return [[0] * r if i in zero_rows else row for i, row in enumerate(rows)]
+
+
+@PROPERTY_SETTINGS
+@given(integer_matrices())
+def test_smith_normal_form(A):
+    g, r = len(A), len(A[0])
+    U, D, V = ts.smith_normal_form(A)
+    assert _matmul(_matmul(U, A), V) == D
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    assert all(D[i][j] == 0 for i in range(g) for j in range(r) if i != j)
+    diag = [D[i][i] for i in range(min(g, r))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b == 0 if a == 0 else b % a == 0
+    # local cohomology reads the same diagonal from its own elimination
+    E = [row[:] for row in A]
+    ts._smith_eliminate(E)
+    assert E == D
+    rank = sum(1 for x in diag if x)
+    assert ts.local_cohomology_degreewise({0: A}, 2)["degrees"]["0"]["H1_corank"] == g - rank

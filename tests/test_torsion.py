@@ -263,6 +263,22 @@ class TestPowerTorsion:
         assert rep["no_up_to"] == 6
         assert len(rep["nonzero_normal_forms"]) == 2
 
+    def test_witnesses_are_normal_forms_of_the_first_and_last_power(self):
+        # J = (p, v_2 - v_1^3): v_2^k rewrites to v_1^(3k).  With k_max = 0
+        # nothing is scanned and the witnesses are v_2^1 and v_2^0.
+        m = make_module(2, 2, [{"terms": [{"exps": {"2": 1}, "coeff": "1"},
+                                          {"exps": {"1": 3}, "coeff": "-1"}]}])
+        gb = ts.module_groebner(m)
+        ring = gb.basis[0].ring
+        for k_max in (0, 1, 4):
+            rep = ts.is_vn_power_torsion(m, 2, k_max, gb=gb)
+            assert [w["element"] for w in rep["nonzero_normal_forms"]] == [
+                "v_2^1", "v_2^%d" % k_max]
+            for k, w in zip((1, k_max), rep["nonzero_normal_forms"]):
+                power = ResidueGradedPoly(ring, {monomial({2: k}): ring.coeff_one()})
+                assert w["normal_form"] == ts.normal_form(power, gb).to_json()
+            assert rep["nonzero_normal_forms"][0]["normal_form"]["terms"][0]["exps"] == {"1": 3}
+
     def test_closure_under_quotient(self):
         # if v_1 is torsion in R/J, it stays torsion in R/(J + more)
         base = [v_power(None, 1, 3)]
