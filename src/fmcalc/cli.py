@@ -22,6 +22,7 @@ from .formal import hazewinkel_log, log_closed_form, trivial_tower
 from .numberring import (
     TowerDescriptor,
     find_nonsplit_prime,
+    is_prime,
     make_tower,
 )
 from .report import emit
@@ -45,10 +46,6 @@ def load_config(path):
 
 def _int_list(text):
     return [int(x) for x in str(text).replace(",", " ").split()]
-
-
-def _rational_list(text):
-    return [Fraction(x) for x in str(text).replace(",", " ").split()]
 
 
 def resolve_settings(args):
@@ -406,7 +403,7 @@ def cmd_localcoh(args, settings):
         p = int(spec.get("p", settings.get("p") or 0))
     except (TypeError, ValueError):
         raise ConfigParseError("matrices file: p must be an integer")
-    if p < 2:
+    if not is_prime(p):
         raise UsageError("localcoh requires a prime p in the JSON or via --p")
     rep = torsion.local_cohomology_degreewise(degrees, p)
     report = _with_common({"command": "localcoh"} | rep, settings)

@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
 from .formal import hazewinkel_log
 from .gradedpoly import (
     GT,
-    GradedPoly,
+    PolyRing,
     apply_ring_map,
     compare_monomials,
     divide,
     graded_basis,
     leading_monomial,
     monomial,
+    monomial_image,
     reduce_mod_ideal,
 )
 from .numberring import embed, is_integral, residue, valuation
@@ -46,6 +47,8 @@ class GammaTable:
     e_rel: int
     integrality_verified: bool
     target_ring: object
+    # gamma(m) of each source monomial m evaluated so far; see monomial_image
+    monomials: dict = field(default_factory=dict, compare=False, repr=False)
 
     def image(self, n):
         return self.images[n]
@@ -58,8 +61,13 @@ class GammaTable:
 
     def apply(self, f):
         """Evaluate gamma (coefficient-embedded) on a source polynomial."""
-        images = {n: self.images[n] for n in range(1, self.N + 1)}
-        return apply_ring_map(f, images, coeff_map=lambda c: embed(c, self.target))
+        images = dict(enumerate(self.images[1:], 1))
+        return apply_ring_map(f, images, self.monomials, lambda c: embed(c, self.target))
+
+    def monomial_image(self, m):
+        """gamma(m) for a source monomial m, built once per table; the
+        result is shared, so callers must not change its terms."""
+        return monomial_image(m, dict(enumerate(self.images[1:], 1)), self.monomials)
 
     def to_json(self):
         return {
@@ -181,9 +189,8 @@ def gamma_sharp_matrix(table, weight):
     size = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     matrix = [[ring_B.tower.zero() for _ in range(size)] for _ in range(size)]
-    ring_A = _source_ring(table)
     for col, m in enumerate(basis):
-        img = table.apply(GradedPoly(ring_A, {m: ring_A.coeff_one()}))
+        img = table.monomial_image(m)
         for mono, coeff in img.terms.items():
             row = index.get(mono)
             if row is None:
@@ -207,13 +214,6 @@ def gamma_sharp_matrix(table, weight):
         "diagonal_valuations": diag_vals,
         "injective": injective,
     }
-
-
-def _source_ring(table):
-    # Source polynomial ring matching the table's truncation.
-    from .gradedpoly import PolyRing
-
-    return PolyRing(table.source, N=table.N)
 
 
 def kappa_congruence(table, j, check_minimality=True):
@@ -355,7 +355,7 @@ def order_preservation_check(table, sample_size, weight_bound, seed=0):
     leading monomials, and that no monomial maps to zero."""
     if not table.is_totally_ramified():
         raise NotSubtower("order preservation check requires a totally ramified table")
-    ring_A = _source_ring(table)
+    ring_A = PolyRing(table.source, N=table.N)
     rng = random.Random(seed)
     pool = [m for w, ms in graded_basis(ring_A, weight_bound).items() for m in ms]
     failures = []
@@ -366,8 +366,8 @@ def order_preservation_check(table, sample_size, weight_bound, seed=0):
         y = rng.choice(pool)
         if compare_monomials(x, y) == GT:
             x, y = y, x
-        fx = table.apply(GradedPoly(ring_A, {x: ring_A.coeff_one()}))
-        fy = table.apply(GradedPoly(ring_A, {y: ring_A.coeff_one()}))
+        fx = table.monomial_image(x)
+        fy = table.monomial_image(y)
         for m, img in ((x, fx), (y, fy)):
             if img.is_zero():
                 nonvanishing_failures.append({str(n): a for n, a in m})

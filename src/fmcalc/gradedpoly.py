@@ -447,26 +447,51 @@ def divide(f, divisors):
     return [GradedPoly(ring, q) for q in quots], GradedPoly(ring, rem)
 
 
-def apply_ring_map(f, images, coeff_map=None):
+def monomial_image(m, images, memo):
+    """Image of the monomial m under v_n -> images[n], held in `memo` (a
+    dict from monomials to images, for these images only).  For m's last
+    factor v_n^a and the rest m', image(m) = image(m') * image(v_n^a), and
+    image(v_n^a) = image(v_n^(a-1)) * images[n]: one product per new entry."""
+    img = memo.get(m)
+    if img is None:
+        if len(m) > 1:
+            img = monomial_image(m[:-1], images, memo) * monomial_image(m[-1:], images, memo)
+        elif not m:
+            img = next(iter(images.values())).ring.one()
+        elif m[0][0] not in images:
+            raise MissingImage("no image for generator v_%d" % m[0][0])
+        else:
+            (n, a), = m
+            k = a - 1  # the highest power of v_n held, or 0
+            while k and ((n, k),) not in memo:
+                k -= 1
+            img = memo[((n, k),)] if k else images[n]
+            for b in range(max(k, 1) + 1, a + 1):
+                img = memo[((n, b),)] = img * images[n]
+        memo[m] = img
+    return img
+
+
+def apply_ring_map(f, images, memo, coeff_map=None):
     """Substitute v_n -> images[n] and map coefficients into the target ring.
 
     `images` maps generator indices to polynomials over one common target
-    ring; `coeff_map` takes a source coefficient to a target coefficient
-    (default: structural embedding of towers).
+    ring, and `memo` holds their monomial images (see monomial_image);
+    `coeff_map` takes a source coefficient to a target coefficient
+    (default: structural embedding of towers).  Only a term whose mapped
+    coefficient is not 1 is scaled.
     """
     if not images:
         raise MissingImage("no generator images supplied")
     target_ring = next(iter(images.values())).ring
     if coeff_map is None:
         coeff_map = lambda c: embed(c, target_ring.tower)
+    one = target_ring.coeff_one()
     out = target_ring.zero()
     for m, c in f.terms.items():
-        term = target_ring.one().scale(coeff_map(c))
-        for n, a in m:
-            if n not in images:
-                raise MissingImage("no image for generator v_%d" % n)
-            term = term * images[n] ** a
-        out = out + term
+        term = monomial_image(m, images, memo)
+        c = coeff_map(c)
+        out = out + (term if c == one else term.scale(c))
     return out
 
 

@@ -222,7 +222,7 @@ def fq_add(a, b, p):
 
 
 def fq_mul(a, b, gbar, p):
-    return poly_divmod(mul(a, b, p), gbar, p)[1]
+    return fq_reduce(mul(a, b, p), gbar, p)
 
 
 def fq_neg(a, p):
@@ -232,5 +232,7 @@ def fq_neg(a, p):
 def fq_inv(a, gbar, p):
     if not a:
         raise ZeroDivisionError("inverse of zero in F_q")
-    q = p ** deg(gbar)
-    return pow_mod(a, q - 2, gbar, p)
+    if deg(gbar) == 1:
+        # F_q = F_p: a is the constant (a_0,), inverted by Fermat.
+        return (pow(a[0], p - 2, p),)
+    return pow_mod(a, p ** deg(gbar) - 2, gbar, p)

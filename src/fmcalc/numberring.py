@@ -208,11 +208,6 @@ class TowerDescriptor:
         nums[k] = 1
         return FieldElement.from_numerators(self, nums, 1)
 
-    def omega(self):
-        if self.f == 1:
-            return self.zero()
-        return self._basis_element(1)
-
     def theta(self):
         if self.e == 1:
             return self.zero()
@@ -271,16 +266,6 @@ class TowerDescriptor:
         if self.f > 1:
             return self.unram_poly == other.unram_poly
         return True
-
-    def relative_ramification(self, other):
-        if not self.is_subtower_of(other):
-            raise NotSubtower("%s is not a structural subtower of %s" % (self.label, other.label))
-        return other.e // self.e
-
-    def relative_residue_degree(self, other):
-        if not self.is_subtower_of(other):
-            raise NotSubtower("%s is not a structural subtower of %s" % (self.label, other.label))
-        return other.f // self.f
 
     # -- serialization ---------------------------------------------------------
 

@@ -180,11 +180,12 @@ class TestCommands:
         assert rep["degrees"]["0"]["H0_invariants"] == [4]
         assert rep["degrees"]["0"]["H1_corank"] == 1
 
-    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[2, 2], [3, "a"]]],
-                             ids=["ragged", "non-numeric"])
-    def test_localcoh_malformed_matrix(self, capsys, tmp_path, matrix):
+    @pytest.mark.parametrize("p, matrix", [(2, [[1, 2], [3]]), (2, [[2, 2], [3, "a"]]),
+                                           (4, [[8]])],
+                             ids=["ragged", "non-numeric", "composite-p"])
+    def test_localcoh_malformed_matrix(self, capsys, tmp_path, p, matrix):
         spec = tmp_path / "lc.json"
-        spec.write_text(json.dumps({"p": 2, "degrees": {"0": matrix}}))
+        spec.write_text(json.dumps({"p": p, "degrees": {"0": matrix}}))
         code, out, err = run(capsys, "localcoh", str(spec))
         assert code == 2 and out == ""
         assert err.startswith("fmcalc: error: ") and err.count("\n") == 1

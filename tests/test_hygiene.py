@@ -1,10 +1,13 @@
 """Static hygiene of the package source, checked with `ast`: no unused
-imports, and no exception class in errors.py that nothing else names."""
+imports, no exception class in errors.py that nothing else names, and no
+function or method that nothing in the source, tests, benchmark or tools
+names."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmcalc"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fmcalc"
 
 
 def _parse(path):
@@ -52,3 +55,38 @@ def test_every_error_class_is_named_elsewhere():
         named |= _used_names(tree)
         named |= {name for name, _ in _imported_names(tree)}
     assert not classes - named, "unused error classes: %s" % sorted(classes - named)
+
+
+def _named(tree):
+    """Every name a module uses: identifiers, attributes, imported names,
+    and the dotted parts of string constants (perfbench/tracer.py names the
+    functions it wraps by string)."""
+    named = _used_names(tree) | {name for name, _ in _imported_names(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named |= set(node.value.split("."))
+    return named
+
+
+def test_every_function_and_method_is_named():
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            bodies = [node] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                bodies = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            defined += [
+                ("%s:%d %s" % (path.name, f.lineno, f.name), f.name)
+                for f in bodies
+                if not (f.name.startswith("__") and f.name.endswith("__"))
+            ]
+    named = set()
+    for tree_dir in ("src", "tests", "perfbench", "tools"):
+        for path in (ROOT / tree_dir).rglob("*.py"):
+            named |= _named(_parse(path))
+    unnamed = [where for where, name in defined if name not in named]
+    assert not unnamed, "functions and methods nothing names: %s" % ", ".join(unnamed)

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fmcalc import modp
 from fmcalc import numberring as nr
 from fmcalc.errors import (
     DivisionByZero,
@@ -209,6 +211,20 @@ class TestEmbed:
     def test_not_subtower(self, q2_sqrt2, q3_sqrt3):
         with pytest.raises(NotSubtower):
             nr.embed(q2_sqrt2.one(), q3_sqrt3)
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)])
+def test_residue_field_arithmetic_matches_polynomial_path(p, f):
+    """fq_mul and fq_inv against reduction modulo gbar and the power q - 2
+    by square-and-multiply, over every nonzero residue of F_q, q = p^f."""
+    gbar = modp.smallest_irreducible(p, f)
+    nonzero = [modp.trim(v) for v in itertools.product(range(p), repeat=f) if any(v)]
+    for a in nonzero:
+        inv = modp.fq_inv(a, gbar, p)
+        assert inv == modp.pow_mod(a, p ** f - 2, gbar, p)
+        assert modp.fq_mul(a, inv, gbar, p) == (1,)
+        for b in nonzero:
+            assert modp.fq_mul(a, b, gbar, p) == modp.poly_divmod(modp.mul(a, b, p), gbar, p)[1]
 
 
 class TestSplitting:

@@ -1,9 +1,11 @@
 """Property tests of the exact-arithmetic layer: the integer-numerator
 representation, the multiplication kernel against the polynomial-reduction
-reference, inverses, the closed-form valuation, graded products,
-multivariate division and the monomial order, normal forms modulo Groebner
-bases over F_p, and Smith normal form."""
+reference, inverses, the closed-form valuation, graded products, gamma as
+a ring map and its memoized monomial images, multivariate division and the
+monomial order, normal forms modulo Groebner bases over F_p, and Smith
+normal form."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
 from fmcalc.formal import trivial_tower
+from fmcalc.gamma import compute_gamma
 from fmcalc.gradedpoly import (
     EQ,
     GT,
@@ -209,6 +212,61 @@ def test_graded_product_with_skipped_generators():
         assert monomial({1: 1, 2: 1, 5: 4}) in expected
         assert list(product.terms) == list(expected)
         assert product.terms == expected
+
+
+# gamma tables at N = 3: from Q_p into every tower, and from the unramified
+# layer into the f = 2, e = 2 tower.
+GAMMA_PAIRS = [(trivial_tower(T.p), T) for T in TOWERS] + [(TOWERS[2], TOWERS[3])]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(GAMMA_PAIRS), st.data())
+def test_gamma_is_a_ring_map(pair, data):
+    source, target = pair
+    table = compute_gamma(source, target, 3)
+    ring = PolyRing(source, N=3)
+    f = data.draw(polys(ring, elements(source), 4))
+    g = data.draw(polys(ring, elements(source), 4))
+    assert table.apply(f * g) == table.apply(f) * table.apply(g)
+    assert table.apply(f + g) == table.apply(f) + table.apply(g)
+
+
+def _image_from_scratch(table, m):
+    """gamma(m) as the product of gamma(v_n)^a over m's factors."""
+    out = table.target_ring.one()
+    for n, a in m:
+        out = out * table.image(n) ** a
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(GAMMA_PAIRS),
+    st.lists(
+        st.builds(
+            lambda a, b, c: monomial({1: a, 2: b, 3: c}),
+            st.integers(0, 5), st.integers(0, 3), st.integers(0, 2),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_monomial_images_match_products_from_scratch(pair, ms, rnd):
+    cached = compute_gamma(pair[0], pair[1], 3)
+    table = dataclasses.replace(cached, monomials={})
+    expected = {m: _image_from_scratch(table, m) for m in ms}
+    for m in ms:  # cold memo, in drawn order
+        assert table.monomial_image(m) == expected[m]
+    rnd.shuffle(ms)
+    for m in ms:  # warm memo, in another order
+        assert table.monomial_image(m) == expected[m]
+    # Every entry the memo holds, prefixes and powers included, is the
+    # image of its own key.
+    for m, img in table.monomials.items():
+        assert img == _image_from_scratch(table, m)
+    assert table == cached and hash(table) == hash(cached)
+    assert table.to_json() == cached.to_json()
 
 
 @PROPERTY_SETTINGS
