@@ -46,10 +46,6 @@ class RingMismatch(FmcalcError):
     pass
 
 
-class TruncationExceeded(FmcalcError):
-    pass
-
-
 class ZeroPolynomial(FmcalcError):
     pass
 

@@ -36,26 +36,34 @@ class LogCoefficients:
         return len(self.entries)
 
     def to_json(self):
+        # Entries record N = max(N, 1), so l_0 of an N = 0 log reads N = 1.
+        N = max(len(self.entries) - 1, 1)
         return {
             "tower": self.tower.to_json(),
             "uniformizer": self.tower.uniformizer_name(),
-            "entries": [f.to_json() for f in self.entries],
+            "entries": [f.to_json(N) for f in self.entries],
         }
 
 
 @functools.lru_cache(maxsize=None)
+def log_entries(tower, N):
+    """(l_0, ..., l_N) by the defining recursion; the entries for N extend
+    those cached for N - 1 by l_N."""
+    ring = PolyRing(tower)
+    if N == 0:
+        return (ring.one(),)
+    entries = log_entries(tower, N - 1)
+    acc = ring.zero()
+    for i in range(N):
+        acc = acc + entries[i] * ring.gen(N - i) ** (tower.q ** i)
+    return entries + (acc.scale(tower.uniformizer_inverse),)
+
+
 def hazewinkel_log(tower, N):
-    """Log coefficients by the defining recursion."""
-    ring = PolyRing(tower, N=max(N, 1))
-    pi_inv = tower.uniformizer().inverse()
-    q = tower.q
-    entries = [ring.one()]
-    for n in range(1, N + 1):
-        acc = ring.zero()
-        for i in range(n):
-            acc = acc + entries[i] * ring.gen(n - i) ** (q ** i)
-        entries.append(acc.scale(pi_inv))
-    return LogCoefficients(ring, tuple(entries))
+    """Log coefficients l_0..l_N over `tower` by the defining recursion.
+    The cached entries do not depend on the tower's label, so the table
+    reports the tower it was asked for."""
+    return LogCoefficients(PolyRing(tower), log_entries(tower, N))
 
 
 def _compositions(h):
@@ -73,8 +81,8 @@ def log_closed_form(tower, N):
     """Log coefficients by the composition sum: l_h is the sum over ordered
     compositions (i_1, ..., i_r) of h of
     pi^{-r} * v_{i_1} * v_{i_2}^{q^{i_1}} * ... * v_{i_r}^{q^{i_1+...+i_{r-1}}}."""
-    ring = PolyRing(tower, N=max(N, 1))
-    pi_inv = tower.uniformizer().inverse()
+    ring = PolyRing(tower)
+    pi_inv = tower.uniformizer_inverse
     pi_inv_pow = [tower.one()]  # pi^{-r} at index r, one per composition length
     for _ in range(N):
         pi_inv_pow.append(pi_inv_pow[-1] * pi_inv)
@@ -97,8 +105,3 @@ def log_closed_form(tower, N):
 def trivial_tower(p):
     """The base tower with e = f = 1 (coefficients in Q, uniformizer p)."""
     return make_tower(p, [0, 1], [0, 1], "Q_%d" % p)
-
-
-def bp_star(p, N):
-    """The q = pi = p specialization over the trivial tower."""
-    return hazewinkel_log(trivial_tower(p), N)

@@ -1,4 +1,9 @@
-"""Sparse graded polynomials in generators v_1..v_N with exact coefficients.
+"""Sparse graded polynomials in generators v_1, v_2, ... with exact
+coefficients.
+
+A ring is its coefficient tower and coefficient kind; it has no truncation.
+A bound N on generator indices belongs to what enumerates or serializes
+(graded_basis, and the tables, logs and modules that call to_json).
 
 Monomials carry the weight w(v_n) = q^n - 1 (topological degree 2w) and are
 compared by a pure lexicographic order in which the highest generator index
@@ -13,25 +18,17 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .errors import (
-    MissingImage,
-    NotIntegral,
-    RingMismatch,
-    TowerMismatch,
-    TruncationExceeded,
-    ZeroPolynomial,
-)
+from .errors import MissingImage, NotIntegral, RingMismatch, TowerMismatch, ZeroPolynomial
 from .numberring import (
     FieldElement,
     ResidueElement,
+    binary_power,
     embed,
     is_integral,
     mul_accumulate,
     mul_rows,
     residue,
 )
-
-LT, EQ, GT = -1, 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +94,6 @@ def monomial_key(m):
     return m[::-1]
 
 
-def compare_monomials(x, y):
-    """Total order: compare exponents from the largest generator index
-    present in either monomial, descending; first difference decides."""
-    kx, ky = monomial_key(x), monomial_key(y)
-    return GT if kx > ky else LT if kx < ky else EQ
-
-
 def _descending_key(m):
     """Key whose ascending order is the descending monomial order, for a
     min-heap: the pairs of monomial_key negated, closed by (0, 0), which
@@ -117,28 +107,22 @@ def _descending_key(m):
 
 
 class PolyRing:
-    """Metadata for a polynomial ring: coefficient tower, q, truncation N.
-
-    `coefficients` is "field" (FieldElement coefficients) or "residue"
-    (ResidueElement coefficients over the tower's residue field).
+    """A polynomial ring in v_1, v_2, ..., named by its coefficient tower
+    (which gives the grading q) and its coefficient kind: "field"
+    (FieldElement coefficients) or "residue" (ResidueElement coefficients
+    over the tower's residue field).
     """
 
-    def __init__(self, tower, q=None, N=6, coefficients="field"):
+    def __init__(self, tower, coefficients="field"):
         self.tower = tower
-        self.q = q if q is not None else tower.q
-        self.N = N
+        self.q = tower.q
         self.coefficients = coefficients
 
     def same_ring(self, other):
-        return (
-            self.tower.same_tower(other.tower)
-            and self.q == other.q
-            and self.N == other.N
-            and self.coefficients == other.coefficients
-        )
+        return self.tower.same_tower(other.tower) and self.coefficients == other.coefficients
 
     def residue_ring(self):
-        return PolyRing(self.tower, self.q, self.N, "residue")
+        return PolyRing(self.tower, "residue")
 
     def coeff_one(self):
         if self.coefficients == "residue":
@@ -157,8 +141,6 @@ class PolyRing:
         return GradedPoly(self, {ONE_MONOMIAL: self.coeff_one()})
 
     def gen(self, n, exp=1, coeff=None):
-        if not (1 <= n <= self.N):
-            raise TruncationExceeded("generator index %d exceeds truncation N=%d" % (n, self.N))
         if coeff is None:
             coeff = self.coeff_one()
         return GradedPoly(self, {monomial({n: exp}): coeff})
@@ -167,12 +149,7 @@ class PolyRing:
         return GradedPoly(self, terms)
 
     def __repr__(self):
-        return "PolyRing(%s, q=%d, N=%d, %s)" % (
-            self.tower.label,
-            self.q,
-            self.N,
-            self.coefficients,
-        )
+        return "PolyRing(%s, %s)" % (self.tower.label, self.coefficients)
 
 
 class GradedPoly:
@@ -184,10 +161,6 @@ class GradedPoly:
         clean = {}
         for m, c in terms.items():
             m = monomial(m) if not isinstance(m, tuple) else m
-            if m and max(n for n, _ in m) > ring.N:
-                raise TruncationExceeded(
-                    "monomial uses generator index beyond N=%d" % ring.N
-                )
             if c:
                 clean[m] = c
         self.ring = ring
@@ -335,23 +308,18 @@ class GradedPoly:
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             return GradedPoly(self.ring, {monomial({k: a * n for k, a in m}): c ** n})
-        result = self.ring.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.ring.one())
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self):
+    def to_json(self, N):
+        """Canonical JSON, recording the bound N of the table, log or
+        module the polynomial belongs to."""
         terms = []
         for m, c in self.sorted_terms():
             coeff = c.to_json()
             terms.append({"exps": {str(n): a for n, a in m}, "coeff": coeff})
-        return {"terms": terms, "q": self.ring.q, "N": self.ring.N}
+        return {"terms": terms, "q": self.ring.q, "N": N}
 
     @staticmethod
     def from_json(ring, obj):
@@ -385,10 +353,6 @@ def _over_common_den(poly):
         (m, c.nums if c.den == den else [n * (den // c.den) for n in c.nums])
         for m, c in poly.terms.items()
     ]
-
-
-class ResidueGradedPoly(GradedPoly):
-    """Alias for polynomials with residue-field coefficients."""
 
 
 def leading_monomial(f):
@@ -447,17 +411,20 @@ def divide(f, divisors):
     return [GradedPoly(ring, q) for q in quots], GradedPoly(ring, rem)
 
 
-def monomial_image(m, images, memo):
-    """Image of the monomial m under v_n -> images[n], held in `memo` (a
-    dict from monomials to images, for these images only).  For m's last
-    factor v_n^a and the rest m', image(m) = image(m') * image(v_n^a), and
+def monomial_image(m, ring, images, memo):
+    """Image of the monomial m under v_n -> images[n], polynomials over
+    `ring`, held in `memo` (a dict from monomials to images, for these
+    images only).  For m's last factor v_n^a and the rest m',
+    image(m) = image(m') * image(v_n^a), and
     image(v_n^a) = image(v_n^(a-1)) * images[n]: one product per new entry."""
     img = memo.get(m)
     if img is None:
         if len(m) > 1:
-            img = monomial_image(m[:-1], images, memo) * monomial_image(m[-1:], images, memo)
+            img = monomial_image(m[:-1], ring, images, memo) * monomial_image(
+                m[-1:], ring, images, memo
+            )
         elif not m:
-            img = next(iter(images.values())).ring.one()
+            img = ring.one()
         elif m[0][0] not in images:
             raise MissingImage("no image for generator v_%d" % m[0][0])
         else:
@@ -472,25 +439,17 @@ def monomial_image(m, images, memo):
     return img
 
 
-def apply_ring_map(f, images, memo, coeff_map=None):
-    """Substitute v_n -> images[n] and map coefficients into the target ring.
-
-    `images` maps generator indices to polynomials over one common target
-    ring, and `memo` holds their monomial images (see monomial_image);
-    `coeff_map` takes a source coefficient to a target coefficient
-    (default: structural embedding of towers).  Only a term whose mapped
-    coefficient is not 1 is scaled.
+def apply_ring_map(f, ring, images, memo):
+    """Substitute v_n -> images[n], polynomials over the target `ring`, and
+    embed coefficients into its tower.  `memo` holds the monomial images
+    (see monomial_image).  Only a term whose embedded coefficient is not 1
+    is scaled.
     """
-    if not images:
-        raise MissingImage("no generator images supplied")
-    target_ring = next(iter(images.values())).ring
-    if coeff_map is None:
-        coeff_map = lambda c: embed(c, target_ring.tower)
-    one = target_ring.coeff_one()
-    out = target_ring.zero()
+    one = ring.coeff_one()
+    out = ring.zero()
     for m, c in f.terms.items():
-        term = monomial_image(m, images, memo)
-        c = coeff_map(c)
+        term = monomial_image(m, ring, images, memo)
+        c = embed(c, ring.tower)
         out = out + (term if c == one else term.scale(c))
     return out
 
@@ -509,27 +468,13 @@ def reduce_mod_ideal(f, n):
         r = residue(c)
         if r:
             terms[m] = r
-    return ResidueGradedPoly(out_ring, terms)
+    return GradedPoly(out_ring, terms)
 
 
-def reduce_coeffs_mod_p(f):
-    """Reduce coefficients of an integral polynomial to the residue field,
-    keeping all monomials."""
-    out_ring = f.ring.residue_ring()
-    terms = {}
-    for m, c in f.terms.items():
-        if not is_integral(c):
-            raise NotIntegral("non-integral coefficient")
-        r = residue(c)
-        if r:
-            terms[m] = r
-    return ResidueGradedPoly(out_ring, terms)
-
-
-def graded_basis(ring, weight_bound):
-    """All monomials of each weight <= weight_bound, per weight, each list
-    sorted descending in the monomial order."""
-    q, N = ring.q, ring.N
+def graded_basis(ring, N, weight_bound):
+    """All monomials in v_1..v_N of each weight <= weight_bound, per
+    weight, each list sorted descending in the monomial order."""
+    q = ring.q
     by_weight = {w: [] for w in range(weight_bound + 1)}
 
     # Enumerate once up to the bound, bucketing by exact weight.
@@ -561,4 +506,4 @@ def divide_by_var(f, n):
         if q is None:
             return None
         out[q] = c
-    return type(f)(f.ring, out)
+    return GradedPoly(f.ring, out)

@@ -36,6 +36,7 @@ valuations modulo e, so the smallest one decides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +71,19 @@ def is_prime(n):
             return False
         d += 2
     return True
+
+
+def binary_power(x, n, one):
+    """x ** n for an integer n >= 0 by square-and-multiply, starting from
+    `one`; x is squared only while bits of n remain."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _int_valuation(n, p):
@@ -218,6 +232,11 @@ class TowerDescriptor:
         if self.e > 1:
             return self.theta()
         return self.from_rational(self.p)
+
+    @functools.cached_property
+    def uniformizer_inverse(self):
+        """1 / uniformizer, computed on first use."""
+        return self.uniformizer().inverse()
 
     def uniformizer_name(self):
         return "theta" if self.e > 1 else "p"
@@ -544,14 +563,7 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.tower.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.tower.one())
 
     # -- serialization ------------------------------------------------------------
 
@@ -668,14 +680,7 @@ class ResidueElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = ResidueElement(self.tower, (1,))
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, ResidueElement(self.tower, (1,)))
 
     def to_json(self):
         return list(self.vec)

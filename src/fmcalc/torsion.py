@@ -11,23 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegerMatrix, OutsideScope, TruncationUnsound
+from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
 from .gradedpoly import (
     GradedPoly,
     PolyRing,
-    ResidueGradedPoly,
     divide,
     divide_by_var,
     leading_term,
-    monomial,
     monomial_divide,
     monomial_key,
     monomial_lcm,
     monomial_mul,
     monomial_weight,
+    reduce_mod_ideal,
 )
-from .numberring import TowerDescriptor, padic_valuation_rational
+from .numberring import TowerDescriptor, is_prime, padic_valuation_rational
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +46,43 @@ class CyclicModulePresentation:
 
     @property
     def ring(self):
-        return PolyRing(trivial_tower(self.p), N=self.N)
+        return PolyRing(trivial_tower(self.p))
 
     @staticmethod
     def from_json(obj):
-        p = int(obj["p"])
-        N = int(obj["N"])
-        ring = PolyRing(trivial_tower(p), N=N)
-        gens = tuple(GradedPoly.from_json(ring, g) for g in obj.get("ideal", []))
-        context = obj.get("context", "bp")
-        if isinstance(context, dict) and "tower" in context:
-            context = TowerDescriptor.from_json(context["tower"])
+        """Parse a module spec and check it: a prime p, N >= 0, homogeneous
+        generators in v_1..v_N and a context tower over the same p.  A
+        malformed spec raises ConfigParseError."""
+        if not isinstance(obj, dict) or "p" not in obj or "N" not in obj:
+            raise ConfigParseError("module spec must be an object with 'p' and 'N'")
+        ideal = obj.get("ideal", [])
+        if not isinstance(ideal, list):
+            raise ConfigParseError("module spec: 'ideal' must be a list of polynomials")
+        try:
+            p, N = int(obj["p"]), int(obj["N"])
+        except (TypeError, ValueError) as ex:
+            raise ConfigParseError("module spec: p and N must be integers (%s)" % ex)
+        if not is_prime(p) or N < 0:
+            raise ConfigParseError("module spec: p must be a prime and N nonnegative")
+        try:
+            gens = tuple(GradedPoly.from_json(PolyRing(trivial_tower(p)), g) for g in ideal)
+            context = obj.get("context", "bp")
+            if isinstance(context, dict) and "tower" in context:
+                context = TowerDescriptor.from_json(context["tower"])
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+                ZeroDivisionError) as ex:
+            raise ConfigParseError("module spec: %s: %s" % (type(ex).__name__, ex))
+        for g in gens:
+            if any(not 1 <= n <= N for m in g.terms for n, _ in m):
+                raise ConfigParseError(
+                    "module spec: the ideal names a generator outside v_1..v_%d" % N
+                )
+            if not g.is_homogeneous():
+                raise ConfigParseError("module spec: ideal generators must be homogeneous")
+        if isinstance(context, TowerDescriptor) and context.p != p:
+            raise ConfigParseError(
+                "module spec: context tower has p = %d, not %d" % (context.p, p)
+            )
         contains_p = _detect_p_power(gens, p)
         return CyclicModulePresentation(
             p=p,
@@ -77,7 +102,7 @@ class CyclicModulePresentation:
         return {
             "p": self.p,
             "N": self.N,
-            "ideal": [g.to_json() for g in self.gens],
+            "ideal": [g.to_json(self.N) for g in self.gens],
             "finitely_presented": self.finitely_presented,
             "context": ctx,
         }
@@ -147,8 +172,8 @@ def groebner_basis(gens, degree_bound):
         if monomial_weight(lcm, ring.q) > degree_bound:
             truncated = True
             continue
-        si = type(fi)(ring, {monomial_divide(lcm, mi): ring.coeff_one()}) * fi
-        sj = type(fj)(ring, {monomial_divide(lcm, mj): ring.coeff_one()}) * fj
+        si = GradedPoly(ring, {monomial_divide(lcm, mi): ring.coeff_one()}) * fi
+        sj = GradedPoly(ring, {monomial_divide(lcm, mj): ring.coeff_one()}) * fj
         s = si - sj
         rem = divide(s, basis)[1]
         if not rem.is_zero():
@@ -179,15 +204,13 @@ def module_groebner(module, degree_bound=None):
             "ideal contains p^%d but not p; outside the cyclic-over-F_p scope"
             % module.contains_p
         )
-    from .gradedpoly import reduce_coeffs_mod_p
-
     if degree_bound is None:
         degree_bound = 2 * (module.p ** module.N - 1)
     reduced = []
     for g in module.gens:
         if set(g.terms) == {()}:
             continue  # the generator p itself
-        r = reduce_coeffs_mod_p(g)
+        r = reduce_mod_ideal(g, 1)
         if not r.is_zero():
             reduced.append(r)
     return groebner_basis(reduced, degree_bound) if reduced else GroebnerBasis(
@@ -199,12 +222,6 @@ def module_groebner(module, degree_bound=None):
 # Torsion and eventual-division scans
 
 
-def _scan_ring(module, gb):
-    return gb.basis[0].ring if gb.basis else PolyRing(
-        trivial_tower(module.p), N=module.N, coefficients="residue"
-    )
-
-
 def _power_normal_forms(gb, ring, n):
     """NF(v_n^k) for k = 1, 2, ...: each is the normal form of v_n times
     the one before.  On a complete basis the normal form is unique, so this
@@ -214,7 +231,7 @@ def _power_normal_forms(gb, ring, n):
     nf = ring.one()
     while True:
         nf = normal_form(
-            ResidueGradedPoly(ring, {monomial_mul(m, ((n, 1),)): c for m, c in nf.terms.items()}),
+            GradedPoly(ring, {monomial_mul(m, ((n, 1),)): c for m, c in nf.terms.items()}),
             gb,
         )
         yield nf
@@ -225,7 +242,7 @@ def is_vn_power_torsion(module, n, k_max, gb=None):
     the nonzero normal forms as replayable witnesses."""
     if gb is None:
         gb = module_groebner(module)
-    ring = _scan_ring(module, gb)
+    ring = module.ring.residue_ring()
     forms = {}
     for k, nf in zip(range(1, k_max + 1), _power_normal_forms(gb, ring, n)):
         if nf.is_zero():
@@ -235,10 +252,8 @@ def is_vn_power_torsion(module, n, k_max, gb=None):
     nonzero = []
     for k in (1, k_max):
         if k not in forms:
-            forms[k] = normal_form(
-                ResidueGradedPoly(ring, {monomial({n: k}): ring.coeff_one()}), gb
-            )
-        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": forms[k].to_json()})
+            forms[k] = normal_form(ring.gen(n, k), gb)
+        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": forms[k].to_json(module.N)})
     return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": nonzero}
 
 
@@ -247,14 +262,14 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
     is preferred over the division case at equal m."""
     if gb is None:
         gb = module_groebner(module)
-    ring = _scan_ring(module, gb)
+    ring = module.ring.residue_ring()
     for m, nf in zip(range(1, m_max + 1), _power_normal_forms(gb, ring, r_index)):
         if nf.is_zero():
             return {"found": True, "case": "zero", "m": m, "y": "0",
                     "r": r_index, "s": s_index}
         y = divide_by_var(nf, s_index)
         if y is not None:
-            return {"found": True, "case": "divide", "m": m, "y": y.to_json(),
+            return {"found": True, "case": "divide", "m": m, "y": y.to_json(module.N),
                     "r": r_index, "s": s_index}
     return {"found": False, "not_found_up_to": m_max, "r": r_index, "s": s_index}
 

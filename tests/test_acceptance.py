@@ -4,6 +4,7 @@ Everything is exact arithmetic (no tolerances) and the whole file is budgeted
 to run in well under two minutes.
 """
 
+import hashlib
 import json
 import random
 
@@ -102,7 +103,7 @@ def test_criterion_06_kappa_congruence():
             tower = make_tower(p, [0, 1], [-p] + [0] * (e - 1) + [1])
             table = gm.compute_gamma(trivial_tower(p), tower, 6)
             for j in js:
-                rep = gm.kappa_congruence(table, j, check_minimality=True)
+                rep = gm.kappa_congruence(table, j)
                 assert rep["passed"], (p, e, j)
                 assert rep["h"] == j * e
 
@@ -234,8 +235,8 @@ def test_criterion_12_order_preservation(q2, q3, q2_sqrt2, q2_cbrt2,
         )
         assert rep["passed"], (source.p, target.e)
         # nonvanishing on every monomial of bounded weight
-        ring = PolyRing(source, N=2)
-        for w, monos in graded_basis(ring, 2 * (q ** 2 - 1)).items():
+        ring = PolyRing(source)
+        for w, monos in graded_basis(ring, 2, 2 * (q ** 2 - 1)).items():
             for m in monos:
                 f = GradedPoly(ring, {m: source.one()})
                 assert not table.apply(f).is_zero(), (source.p, target.e, m)
@@ -266,3 +267,71 @@ def test_criterion_13_determinism(capsys, tmp_path):
         assert outputs[0] == canonical_json(
             json.loads(outputs[0])
         ).encode(), argv
+
+
+GOLDEN_MODULE = {
+    "p": 3,
+    "N": 2,
+    "ideal": [
+        {"terms": [{"exps": {}, "coeff": "3"}]},
+        {"terms": [{"exps": {"2": 1}, "coeff": "1"}, {"exps": {"1": 4}, "coeff": "-1"}]},
+    ],
+    "finitely_presented": True,
+    "context": "bp",
+}
+GOLDEN_MATRICES = {"p": 2, "degrees": {"0": [[4, 6], [2, 8]], "1": [[3, 0], [0, 0]]}}
+
+# (argv, exit code, SHA-256 of stdout).  "MODULE" and "MATRICES" stand for
+# files holding GOLDEN_MODULE and GOLDEN_MATRICES.
+GOLDEN = [
+    (["verify", "low-degree", "--p", "2", "--e", "2", "--N", "2", "--seed", "5"], 0,
+     "4ec7a9f8c114239c9e0ae29c5b24100725d2d65204426bdcc6d28a31c4608c3c"),
+    (["verify", "ordering", "--p", "3", "--e", "2", "--N", "2", "--seed", "5"], 0,
+     "27cce0eb9979f4c303b4668ea8c48711aeae23ed0f53550bba1961a9baa23ae6"),
+    (["verify", "kappa", "--p", "2", "--e", "2", "--N", "4", "--seed", "5"], 0,
+     "ae703e250f80e14c451fe0b8f303b50df9fe66671396103bd566edfb99b9199a"),
+    (["verify", "eventual-division", "--p", "2", "--e", "3", "--N", "3",
+      "--mmax", "8", "--seed", "5"], 0,
+     "2c82ff1b5a7dd89f4eebcf58deefaec690075cf712407a2c062bd7d84100e2eb"),
+    (["verify", "log-oracle", "--p", "2", "--e", "2", "--N", "4", "--seed", "5"], 0,
+     "5102372218e42a8758522535e13d61dda2d4b2a2f9678dc9a35fef7951b2e0e3"),
+    (["verify", "unramified", "--p", "2", "--f", "2", "--N", "4", "--seed", "5"], 0,
+     "7cde12c1d0aa8eae43ea74f7bf15fb77d28c21863cb7639a6e5900c218269ec2"),
+    (["verify", "rational-iso", "--p", "2", "--e", "2", "--N", "3",
+      "--weight-bound", "7", "--seed", "5"], 0,
+     "5c926f852391fa49ee45c729537d49dbc3b4eebd4d44f7b1feafa2569cb74397"),
+    (["splitting", "x^3-2", "--pmax", "50", "--seed", "5"], 0,
+     "0ef7894e19864602acce9095388b187331cc61c584b8eebdaf1404a3a12822ca"),
+    (["log", "--p", "3", "--N", "3", "--seed", "5"], 0,
+     "4cb5ae7a2c31306f4f7fe4275cc5b4fec359d423b9ee58749c4a85fe3bb71946"),
+    (["gamma", "--p", "2", "--f", "2", "--N", "4", "--seed", "5"], 0,
+     "6cd0c427723a14c87e942ee8c9e3152920f2479adf9550f764a8802f7a2c4bdc"),
+    (["log", "--p", "2", "--e", "2", "--N", "0"], 0,
+     "300228ba24795bf51d0b54b6c1a134b8fb76f55eb351cbd89d86b59cab05d5af"),
+    (["gamma", "--p", "2", "--e", "2", "--N", "0"], 0,
+     "d088b66690d583bfd446d9277482641dcc14ed30b0d26762e9b266f8c1040dfc"),
+    (["verify", "log-oracle", "--p", "2", "--e", "2", "--N", "0"], 0,
+     "0df95d3ce1100fb6bc34a288da2b0a2d91bf50e8cbbcccc241d5bd0407f64212"),
+    (["verify", "low-degree", "--p", "2", "--e", "2", "--N", "1"], 0,
+     "6b119d503c5f0516998838f08f5b91ddbbb9d1711972c4492ae435c87422097c"),
+    (["obstruct", "MODULE"], 0,
+     "3a9e0bc2a35106c703f8996ac07da6b6b6d2b0154f205863a7954c4088dcc75b"),
+    (["localcoh", "MATRICES"], 0,
+     "900e6a956583ed792897b65f4451b3c9a949b7c44de08e23b26a374889adad2f"),
+]
+
+
+def test_criterion_14_golden_outputs(capsys, tmp_path, monkeypatch):
+    # Exit codes and stdout bytes of the CLI are pinned, so a change to a
+    # serializer or a report shows here.
+    monkeypatch.delenv("FMCALC_CONFIG", raising=False)
+    files = {"MODULE": tmp_path / "module.json", "MATRICES": tmp_path / "matrices.json"}
+    files["MODULE"].write_text(json.dumps(GOLDEN_MODULE))
+    files["MATRICES"].write_text(json.dumps(GOLDEN_MATRICES))
+    changed = []
+    for argv, code, digest in GOLDEN:
+        got = main([str(files.get(a, a)) for a in argv])
+        out = capsys.readouterr().out.encode()
+        if (got, hashlib.sha256(out).hexdigest()) != (code, digest):
+            changed.append(argv)
+    assert not changed, changed

@@ -8,6 +8,7 @@ import pytest
 
 from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
+from fmcalc.numberring import make_tower
 
 
 def run(capsys, *argv):
@@ -26,6 +27,34 @@ MOD_P2 = {
     ],
     "finitely_presented": True,
     "context": "bp",
+}
+
+
+def _module(**changes):
+    return dict(MOD_P2, **changes)
+
+
+def _ideal_term(exps, coeff="1"):
+    return {"terms": [{"exps": exps, "coeff": coeff}]}
+
+
+# Module files that `obstruct` must reject with exit 2.
+BAD_MODULES = {
+    "empty-object": {},
+    "list": [],
+    "ideal-not-a-list": _module(ideal="x"),
+    "exponent-key": _module(ideal=[_ideal_term({"x": 1})]),
+    "coefficient": _module(ideal=[_ideal_term({"1": 1}, "abc")]),
+    "negative-exponent": _module(ideal=[_ideal_term({"1": -1})]),
+    "index-above-N": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"3": 1})]),
+    "composite-p": _module(p=4, ideal=[_ideal_term({}, "4")]),
+    "negative-N": _module(N=-1, ideal=[_ideal_term({}, "2")]),
+    "generator-v0": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"0": 1})]),
+    "context-p": _module(context={"tower": make_tower(3, [0, 1], [-3, 0, 1]).to_json()}),
+    "non-homogeneous": _module(ideal=[
+        _ideal_term({}, "2"),
+        {"terms": [{"exps": {"1": 1}, "coeff": "1"}, {"exps": {"2": 1}, "coeff": "1"}]},
+    ]),
 }
 
 
@@ -189,6 +218,28 @@ class TestCommands:
         code, out, err = run(capsys, "localcoh", str(spec))
         assert code == 2 and out == ""
         assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", list(BAD_MODULES.values()), ids=list(BAD_MODULES))
+    def test_obstruct_malformed_module(self, capsys, tmp_path, spec):
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "obstruct", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    def test_verify_rational_iso_at_N_0(self, capsys):
+        # No generators: every weight's basis is empty except {1} in weight 0.
+        code, out, _ = run(capsys, "verify", "rational-iso", "--p", "2", "--e", "2", "--N", "0")
+        rep = json.loads(out)
+        assert code == 0 and rep["passed"]
+        assert {w: r["basis_size"] for w, r in rep["weights"].items()} == {
+            str(w): int(w == 0) for w in range(8)}
+
+    def test_verify_ordering_at_N_0(self, capsys):
+        code, out, _ = run(capsys, "verify", "ordering", "--p", "2", "--e", "2", "--N", "0")
+        rep = json.loads(out)
+        assert code == 0 and rep["passed"]
+        assert rep["checked"] == 100 and rep["vanishing_monomials"] == []
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "tower", "check", "--p", "2",

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fmcalc import numberring as nr
-from fmcalc.formal import bp_star, hazewinkel_log, log_closed_form, trivial_tower
+from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
 
 
 def all_towers(request):
@@ -81,11 +81,11 @@ class TestClosedForm:
 
 class TestBPStar:
     def test_p2_l1(self):
-        logs = bp_star(2, 2)
+        logs = hazewinkel_log(trivial_tower(2), 2)
         assert logs[1] == logs.ring.gen(1).scale(Fraction(1, 2))
 
     def test_p3_l2(self):
-        logs = bp_star(3, 2)
+        logs = hazewinkel_log(trivial_tower(3), 2)
         expected = logs.ring.gen(2).scale(Fraction(1, 3)) + logs.ring.gen(1, 4).scale(
             Fraction(1, 9)
         )

@@ -2,26 +2,23 @@
 representation, the multiplication kernel against the polynomial-reduction
 reference, inverses, the closed-form valuation, graded products, gamma as
 a ring map and its memoized monomial images, multivariate division and the
-monomial order, normal forms modulo Groebner bases over F_p, and Smith
-normal form."""
+monomial order, normal forms modulo Groebner bases over F_p, Smith
+normal form, and logs and gamma images that do not depend on N."""
 
 import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
-from fmcalc.formal import trivial_tower
+from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
 from fmcalc.gamma import compute_gamma
 from fmcalc.gradedpoly import (
-    EQ,
-    GT,
-    LT,
     GradedPoly,
     PolyRing,
-    compare_monomials,
     divide,
     graded_basis,
     leading_monomial,
@@ -171,7 +168,7 @@ def test_inverse(args):
 @given(st.data())
 def test_graded_product_is_sum_of_coefficient_products(data):
     tower = data.draw(st.sampled_from(TOWERS))
-    ring = PolyRing(tower, N=3)
+    ring = PolyRing(tower)
     f = data.draw(polys(ring, elements(tower), 3))
     g = data.draw(polys(ring, elements(tower), 3))
     expected = ring.zero()
@@ -193,12 +190,12 @@ def _termwise_product(f, g):
 
 
 def test_graded_product_with_skipped_generators():
-    # Monomials in v_1, v_2, v_3, v_5 of a ring with N = 6: the products
-    # skip v_4 and v_6, and v_1*v_2*v_5^4 arises twice.
+    # Monomials in v_1, v_2, v_3, v_5: the products skip v_4, and
+    # v_1*v_2*v_5^4 arises twice.
     for ring, c in [
-        (PolyRing(TOWERS[1], N=6), TOWERS[1].theta() + Fraction(1, 3)),
-        (PolyRing(TOWERS[-1], N=6), TOWERS[-1].theta() * Fraction(2, 5)),
-        (PolyRing(TOWERS[4], N=6, coefficients="residue"), ResidueElement(TOWERS[4], (0, 1))),
+        (PolyRing(TOWERS[1]), TOWERS[1].theta() + Fraction(1, 3)),
+        (PolyRing(TOWERS[-1]), TOWERS[-1].theta() * Fraction(2, 5)),
+        (PolyRing(TOWERS[4], coefficients="residue"), ResidueElement(TOWERS[4], (0, 1))),
     ]:
         one = ring.coeff_one()
         f = GradedPoly(ring, {monomial({2: 1, 5: 3}): one, monomial({1: 1, 5: 1}): c})
@@ -224,7 +221,7 @@ GAMMA_PAIRS = [(trivial_tower(T.p), T) for T in TOWERS] + [(TOWERS[2], TOWERS[3]
 def test_gamma_is_a_ring_map(pair, data):
     source, target = pair
     table = compute_gamma(source, target, 3)
-    ring = PolyRing(source, N=3)
+    ring = PolyRing(source)
     f = data.draw(polys(ring, elements(source), 4))
     g = data.draw(polys(ring, elements(source), 4))
     assert table.apply(f * g) == table.apply(f) * table.apply(g)
@@ -311,7 +308,7 @@ def _check_division(f, divisors):
 @given(st.data())
 def test_divide_over_field_coefficients(data):
     tower = data.draw(st.sampled_from([trivial_tower(3), TOWERS[0]]))
-    ring = PolyRing(tower, N=3)
+    ring = PolyRing(tower)
     f = data.draw(polys(ring, elements(tower), 4))
     divisors = data.draw(st.lists(polys(ring, elements(tower), 2), min_size=1, max_size=3))
     assume(all(divisors))
@@ -322,7 +319,7 @@ def test_divide_over_field_coefficients(data):
 @given(st.data())
 def test_divide_over_residue_coefficients(data):
     tower = data.draw(st.sampled_from([trivial_tower(2), trivial_tower(5), TOWERS[2]]))
-    ring = PolyRing(tower, N=3, coefficients="residue")
+    ring = PolyRing(tower, coefficients="residue")
     coeffs = st.lists(
         st.integers(0, tower.p - 1), min_size=tower.f, max_size=tower.f
     ).map(lambda vec: ResidueElement(tower, tuple(vec)))
@@ -333,14 +330,15 @@ def test_divide_over_residue_coefficients(data):
 
 
 def _reference_compare(x, y):
-    """The monomial order by its definition: exponents compared from the
-    highest generator index present in either monomial down."""
+    """The monomial order by its definition: -1, 0 or 1 as x is below,
+    equal to or above y, exponents compared from the highest generator
+    index present in either monomial down."""
     dx, dy = dict(x), dict(y)
     for n in sorted(set(dx) | set(dy), reverse=True):
         a, b = dx.get(n, 0), dy.get(n, 0)
         if a != b:
-            return GT if a > b else LT
-    return EQ
+            return 1 if a > b else -1
+    return 0
 
 
 # Monomials in v_1..v_4 with gaps, so one often extends another.
@@ -354,11 +352,10 @@ sparse_monomials = st.dictionaries(
 def test_monomial_key_agrees_with_the_order(ms):
     for x in ms:
         for y in ms:
-            ref = _reference_compare(x, y)
-            assert compare_monomials(x, y) == ref
-            assert (monomial_key(x) > monomial_key(y)) == (ref == GT)
+            kx, ky = monomial_key(x), monomial_key(y)
+            assert (kx > ky) - (kx < ky) == _reference_compare(x, y)
     assert sorted(ms, key=monomial_key) == sorted(
-        ms, key=lambda m: [_reference_compare(m, y) for y in ms].count(GT)
+        ms, key=lambda m: [_reference_compare(m, y) for y in ms].count(1)
     )
 
 
@@ -366,8 +363,8 @@ def test_monomial_key_agrees_with_the_order(ms):
 # Normal forms over F_p
 
 
-RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), N=3, coefficients="residue") for p in (2, 3)}
-RESIDUE_BASES = {p: graded_basis(ring, 2 * (ring.q ** 3 - 1)) for p, ring in RESIDUE_RINGS.items()}
+RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), coefficients="residue") for p in (2, 3)}
+RESIDUE_BASES = {p: graded_basis(ring, 3, 2 * (ring.q ** 3 - 1)) for p, ring in RESIDUE_RINGS.items()}
 
 
 @st.composite
@@ -473,3 +470,24 @@ def test_smith_normal_form(A):
     assert E == D
     rank = sum(1 for x in diag if x)
     assert ts.local_cohomology_degreewise({0: A}, 2)["degrees"]["0"]["H1_corank"] == g - rank
+
+
+# ---------------------------------------------------------------------------
+# Ring identity: N bounds tables, not rings
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=[t.label for t in TOWERS])
+def test_log_entries_are_equal_across_N(tower):
+    short, long = hazewinkel_log(tower, 3), hazewinkel_log(tower, 6)
+    closed = log_closed_form(tower, 3)
+    for k in range(4):
+        assert short[k] == long[k] == closed[k], k
+
+
+@pytest.mark.parametrize("pair", GAMMA_PAIRS, ids=["%s->%s" % (s.label, t.label) for s, t in GAMMA_PAIRS])
+def test_gamma_images_are_equal_across_N(pair):
+    short, long = compute_gamma(*pair, 2), compute_gamma(*pair, 3)
+    for n in (1, 2):
+        assert short.image(n) == long.image(n), n
+    m = monomial({1: 2, 2: 1})
+    assert short.monomial_image(m) == long.monomial_image(m)

@@ -9,18 +9,17 @@ from fmcalc.formal import trivial_tower
 from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
-    ResidueGradedPoly,
     divide,
     graded_basis,
     leading_term,
     monomial,
-    reduce_coeffs_mod_p,
+    reduce_mod_ideal,
 )
 
 
 def make_module(p, N, gen_dicts, finitely_presented=True, context="bp",
                 include_p=True):
-    ring = PolyRing(trivial_tower(p), N=N)
+    ring = PolyRing(trivial_tower(p))
     ideal = []
     if include_p:
         ideal.append({"terms": [{"exps": {}, "coeff": str(p)}]})
@@ -78,7 +77,7 @@ class TestGroebnerAndNormalForm:
         m = make_module(2, 3, [v_power(None, 1, 1)])
         gb = ts.module_groebner(m)
         ring = gb.basis[0].ring
-        f = ResidueGradedPoly(ring, {monomial({1: 5, 2: 1}): ring.coeff_one()})
+        f = GradedPoly(ring, {monomial({1: 5, 2: 1}): ring.coeff_one()})
         assert ts.normal_form(f, gb).is_zero()
 
     def test_normal_form_rewrites_v2(self):
@@ -91,7 +90,7 @@ class TestGroebnerAndNormalForm:
         )
         gb = ts.module_groebner(m)
         ring = gb.basis[0].ring
-        f = ResidueGradedPoly(ring, {monomial({2: 1}): ring.coeff_one()})
+        f = GradedPoly(ring, {monomial({2: 1}): ring.coeff_one()})
         nf = ts.normal_form(f, gb)
         assert set(nf.terms) == {monomial({1: 3})}
 
@@ -106,9 +105,9 @@ class TestGroebnerAndNormalForm:
         gb = ts.module_groebner(m)
         ring = gb.basis[0].ring
         rng = random.Random(17)
-        basis = [x for w, ms in graded_basis(ring, 9).items() for x in ms]
+        basis = [x for w, ms in graded_basis(ring, 3, 9).items() for x in ms]
         for _ in range(30):
-            f = ResidueGradedPoly(
+            f = GradedPoly(
                 ring,
                 {rng.choice(basis): ring.coeff_from_int(rng.randint(1, 1))
                  for _ in range(3)},
@@ -126,7 +125,7 @@ class TestGroebnerAndNormalForm:
         )
         gb = ts.module_groebner(m)
         ring = gb.basis[0].ring
-        f = ResidueGradedPoly(
+        f = GradedPoly(
             ring,
             {monomial({1: 1, 2: 1}): ring.coeff_one(),
              monomial({1: 4}): -ring.coeff_one()},
@@ -145,7 +144,7 @@ class TestGroebnerAndNormalForm:
         gb = ts.module_groebner(m, degree_bound=3)
         if gb.truncated:
             ring = gb.basis[0].ring
-            f = ResidueGradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
+            f = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
             nf = divide(f, gb.basis)[1]
             if not nf.is_zero():
                 with pytest.raises(TruncationUnsound):
@@ -158,8 +157,8 @@ class TestGroebnerAndNormalForm:
         rng = random.Random(23)
         p = 2
         for trial in range(3):
-            ring_f = PolyRing(trivial_tower(p), N=2)
-            basis_all = graded_basis(ring_f, 8)
+            ring_f = PolyRing(trivial_tower(p))
+            basis_all = graded_basis(ring_f, 2, 8)
             gens = []
             for _ in range(2):
                 w = rng.choice([w for w, ms in basis_all.items() if ms and w > 0])
@@ -173,9 +172,9 @@ class TestGroebnerAndNormalForm:
                     gens.append(g)
             if not gens:
                 continue
-            gb = ts.groebner_basis([reduce_coeffs_mod_p(g) for g in gens], 16)
+            gb = ts.groebner_basis([reduce_mod_ideal(g, 1) for g in gens], 16)
             ring = gb.basis[0].ring
-            rbasis = graded_basis(ring, 8)
+            rbasis = graded_basis(ring, 2, 8)
             for w in range(1, 9):
                 monos = rbasis.get(w, [])
                 if not monos:
@@ -188,7 +187,7 @@ class TestGroebnerAndNormalForm:
                     if rem < 0:
                         continue
                     for mult in rbasis.get(rem, []):
-                        prod = reduce_coeffs_mod_p(g) * type(gb.basis[0])(
+                        prod = reduce_mod_ideal(g, 1) * type(gb.basis[0])(
                             ring, {mult: ring.coeff_one()}
                         )
                         row = [0] * len(monos)
@@ -219,7 +218,7 @@ class TestGroebnerAndNormalForm:
                 rank = rr
                 killed = 0
                 for m in monos:
-                    f = ResidueGradedPoly(ring, {m: ring.coeff_one()})
+                    f = GradedPoly(ring, {m: ring.coeff_one()})
                     if ts.normal_form(f, gb).is_zero():
                         killed += 1
                 # monomials with zero normal form span exactly the graded
@@ -228,7 +227,7 @@ class TestGroebnerAndNormalForm:
                 # normal forms spans a complement of dimension len - rank
                 distinct_nfs = set()
                 for m in monos:
-                    f = ResidueGradedPoly(ring, {m: ring.coeff_one()})
+                    f = GradedPoly(ring, {m: ring.coeff_one()})
                     nf = ts.normal_form(f, gb)
                     key = tuple(sorted(
                         (mm, c.vec) for mm, c in nf.terms.items()
@@ -275,8 +274,8 @@ class TestPowerTorsion:
             assert [w["element"] for w in rep["nonzero_normal_forms"]] == [
                 "v_2^1", "v_2^%d" % k_max]
             for k, w in zip((1, k_max), rep["nonzero_normal_forms"]):
-                power = ResidueGradedPoly(ring, {monomial({2: k}): ring.coeff_one()})
-                assert w["normal_form"] == ts.normal_form(power, gb).to_json()
+                power = GradedPoly(ring, {monomial({2: k}): ring.coeff_one()})
+                assert w["normal_form"] == ts.normal_form(power, gb).to_json(2)
             assert rep["nonzero_normal_forms"][0]["normal_form"]["terms"][0]["exps"] == {"1": 3}
 
     def test_closure_under_quotient(self):
@@ -561,9 +560,9 @@ class TestObstruction:
         div = a["witnesses"]["division_witness"]
         gb = ts.module_groebner(m)
         ring = gb.basis[0].ring
-        lhs = ResidueGradedPoly(
+        lhs = GradedPoly(
             ring, {monomial({2: div["m"]}): ring.coeff_one()}
         )
-        y = ResidueGradedPoly.from_json(ring, div["y"])
-        v1 = ResidueGradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
+        y = GradedPoly.from_json(ring, div["y"])
+        v1 = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
         assert ts.normal_form(lhs - v1 * y, gb).is_zero()

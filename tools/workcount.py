@@ -11,7 +11,7 @@ line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic and `numberring` inverses.
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
-the hazewinkel_log and compute_gamma caches are cleared between jobs here.
+the log_entries and compute_gamma caches are cleared between jobs here.
 Call counts do not depend on the speed of the host, so they compare two
 versions of the program where wall times cannot.
 """
@@ -45,7 +45,7 @@ def profile_jobs(job_argvs, fresh_caches):
     nonzero = raised = 0
     for argv in job_argvs:
         if fresh_caches:
-            formal.hazewinkel_log.cache_clear()
+            formal.log_entries.cache_clear()
             gamma.compute_gamma.cache_clear()
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
