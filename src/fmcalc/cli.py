@@ -11,12 +11,11 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import gamma as gammamod
-from . import modp, torsion
+from . import modp
 from .errors import ConfigParseError, FmcalcError, UsageError
 from .formal import hazewinkel_log, log_closed_form, trivial_tower
 from .numberring import (
@@ -44,10 +43,6 @@ def load_config(path):
     return cfg
 
 
-def _int_list(text):
-    return [int(x) for x in str(text).replace(",", " ").split()]
-
-
 def resolve_settings(args):
     """Merge config file (or FMCALC_CONFIG) with flags; flags win."""
     path = args.config or os.environ.get("FMCALC_CONFIG")
@@ -70,13 +65,24 @@ def resolve_settings(args):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             settings[key] = value
-    if getattr(args, "unram", None):
-        settings["unram"] = _int_list(args.unram)
-    if getattr(args, "eis", None):
-        settings["eis"] = [str(x) for x in str(args.eis).replace(",", " ").split()]
-    for key in ("N", "kmax", "mmax", "seed"):
-        if settings[key] is not None and int(settings[key]) < 0:
-            raise UsageError("%s must be nonnegative" % key)
+    for key in ("unram", "eis"):
+        if getattr(args, key, None):
+            settings[key] = str(getattr(args, key)).replace(",", " ").split()
+    try:
+        if settings["unram"]:
+            settings["unram"] = [int(c) for c in settings["unram"]]
+        if settings["eis"]:
+            settings["eis"] = [Fraction(str(c)) for c in settings["eis"]]
+    except (TypeError, ValueError, ZeroDivisionError) as ex:
+        raise UsageError("bad polynomial coefficient: %s" % ex)
+    for key, low in (("f", 1), ("e", 1), ("N", 0), ("weight_bound", 0), ("kmax", 0),
+                     ("mmax", 0), ("seed", 0)):
+        try:
+            bad = settings[key] is not None and int(settings[key]) < low
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise UsageError("%s must be an integer >= %d" % (key, low))
     return settings
 
 
@@ -93,14 +99,14 @@ def resolve_tower(settings):
     f = int(settings.get("f") or 1)
     e = int(settings.get("e") or 1)
     if settings.get("unram"):
-        g = [int(c) for c in settings["unram"]]
+        g = settings["unram"]
     elif f > 1:
         g = list(modp.smallest_irreducible(p, f))
         g = g + [0] * (f + 1 - len(g))
     else:
         g = [0, 1]
     if settings.get("eis"):
-        h = [Fraction(str(c)) for c in settings["eis"]]
+        h = settings["eis"]
     elif e > 1:
         h = [Fraction(-p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
     else:
@@ -257,30 +263,28 @@ VERIFY_SUITES = {
 # Polynomial string parsing for `splitting`
 
 
-_TERM_RE = re.compile(r"^([+-]?\d*)\s*(x(?:\^(\d+))?)?$")
-
-
 def parse_poly_string(text):
     """Parse expressions like "x^3-2" or "x^2 + x + 1" into integer
-    coefficients, constant first."""
+    coefficients, constant first.  A term is an optional sign and then an
+    integer, x^k or an integer times x^k (x alone for x^1); every term after
+    the first starts with its sign."""
+    import re
+
     cleaned = text.replace(" ", "").replace("*", "")
     if not cleaned:
         raise UsageError("empty polynomial")
-    parts = re.findall(r"[+-]?[^+-]+", cleaned)
+    parts = re.split(r"(?=[+-])", cleaned)
+    if not parts[0]:  # the text starts with a sign
+        del parts[0]
     coeffs = {}
     for part in parts:
-        m = _TERM_RE.match(part)
-        if not m:
+        m = re.fullmatch(r"([+-]?)(\d*)(?:(x)(?:\^(\d+))?)?", part)
+        if not m or not (m[2] or m[3]):
             raise UsageError("cannot parse polynomial term %r" % part)
-        coeff_text, xpart, exp = m.groups()
-        if xpart is None:
-            if coeff_text in ("", "+", "-"):
-                raise UsageError("cannot parse polynomial term %r" % part)
-            coeffs[0] = coeffs.get(0, 0) + int(coeff_text)
-            continue
-        k = int(exp) if exp else 1
-        c = 1 if coeff_text in ("", "+") else (-1 if coeff_text == "-" else int(coeff_text))
-        coeffs[k] = coeffs.get(k, 0) + c
+        sign, digits, x, exp = m.groups()
+        c = int(digits or 1)
+        k = (int(exp) if exp else 1) if x else 0
+        coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
     deg = max(coeffs)
     return [coeffs.get(i, 0) for i in range(deg + 1)]
 
@@ -339,6 +343,8 @@ def cmd_obstruct(args, settings):
             spec = json.load(fh)
     except (OSError, ValueError) as ex:
         raise ConfigParseError("cannot read module spec: %s" % ex)
+    from . import torsion
+
     module = torsion.CyclicModulePresentation.from_json(spec)
     cert = torsion.realizability_obstruction(
         module, k_max=int(settings["kmax"]), m_max=int(settings["mmax"])
@@ -410,6 +416,8 @@ def cmd_localcoh(args, settings):
         raise ConfigParseError("matrices file: p must be an integer")
     if not is_prime(p):
         raise UsageError("localcoh requires a prime p in the JSON or via --p")
+    from . import torsion
+
     rep = torsion.local_cohomology_degreewise(degrees, p)
     report = _with_common({"command": "localcoh"} | rep, settings)
     return report, 0

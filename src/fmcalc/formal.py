@@ -12,18 +12,19 @@ and by the closed form summing over ordered compositions of n.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .gradedpoly import PolyRing
-from .numberring import make_tower
+from .numberring import ReadOnly, make_tower
 
 
-@dataclass(frozen=True)
-class LogCoefficients:
+class LogCoefficients(ReadOnly):
     """Entries l_0..l_N over one tower."""
 
-    ring: PolyRing
-    entries: tuple
+    __slots__ = ("ring", "entries")
+
+    def __init__(self, ring, entries):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def tower(self):

@@ -15,8 +15,6 @@ with c_i the matched log coefficient.
 from __future__ import annotations
 
 import functools
-import random
-from dataclasses import dataclass, field
 
 from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
 from .formal import hazewinkel_log
@@ -31,23 +29,41 @@ from .gradedpoly import (
     monomial_key,
     reduce_mod_ideal,
 )
-from .numberring import embed, is_integral, residue, valuation
+from .numberring import ReadOnly, embed, is_integral, residue, valuation
 
 
-@dataclass(frozen=True)
-class GammaTable:
-    """Images gamma(v_n) for n <= N over the target ring."""
+class GammaTable(ReadOnly):
+    """Images gamma(v_n) for n <= N over the target ring.
 
-    source: object
-    target: object
-    N: int
-    images: tuple  # index 0 unused; images[n] = gamma(v_n)
-    f_rel: int
-    e_rel: int
-    integrality_verified: bool
-    target_ring: object
-    # gamma(m) of each source monomial m evaluated so far; see monomial_image
-    monomials: dict = field(default_factory=dict, compare=False, repr=False)
+    `monomials` holds gamma(m) of each source monomial m evaluated so far
+    (see monomial_image).  Equality and hashing ignore it, and tables over
+    equal towers share it.  compute_gamma builds a table only after every
+    image has passed its integrality check."""
+
+    __slots__ = ("source", "target", "N", "images", "f_rel", "e_rel", "target_ring",
+                 "monomials")
+    integrality_verified = True
+
+    def __init__(self, source, target, N, images, monomials):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "images", images)  # index 0 unused
+        object.__setattr__(self, "f_rel", target.f // source.f)
+        object.__setattr__(self, "e_rel", target.e // source.e)
+        object.__setattr__(self, "target_ring", PolyRing(target))
+        object.__setattr__(self, "monomials", monomials)
+
+    def _key(self):
+        return (self.source, self.target, self.N, self.images)
+
+    def __eq__(self, other):
+        if other.__class__ is not GammaTable:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def image(self, n):
         return self.images[n]
@@ -99,9 +115,11 @@ def match_log(source, target, i):
 
 
 @functools.lru_cache(maxsize=None)
-def compute_gamma(source, target, N):
-    """Solve gamma(l_i^A) = matched log coefficient for the images of the
-    generators, then verify integrality of every image."""
+def gamma_images(source, target, N):
+    """(images, monomial memo) for compute_gamma: solve gamma(l_i^A) =
+    matched log coefficient for the images of the generators, then verify
+    integrality of every image.  Cached by tower equality, which ignores
+    labels, so the result carries no tower."""
     q_A = source.q
     c = [match_log(source, target, i) for i in range(N + 1)]
     pi_A = embed(source.uniformizer(), target)
@@ -120,16 +138,15 @@ def compute_gamma(source, target, N):
     )
     if not ok:
         raise IntegralityFailure("a gamma image has a non-integral coefficient")
-    return GammaTable(
-        source=source,
-        target=target,
-        N=N,
-        images=tuple(images),
-        f_rel=target.f // source.f,
-        e_rel=target.e // source.e,
-        integrality_verified=True,
-        target_ring=PolyRing(target),
-    )
+    return tuple(images), {}
+
+
+def compute_gamma(source, target, N):
+    """The gamma table from `source` to `target` up to v_N.  The images and
+    their monomial memo are computed once per pair of towers; the table
+    reports the towers it was asked for."""
+    images, memo = gamma_images(source, target, N)
+    return GammaTable(source, target, N, images, memo)
 
 
 def check_unramified_formula(table):
@@ -323,6 +340,8 @@ def order_preservation_check(table, sample_size, weight_bound, seed=0):
     leading monomials, and that no monomial maps to zero."""
     if not table.is_totally_ramified():
         raise NotSubtower("order preservation check requires a totally ramified table")
+    import random
+
     rng = random.Random(seed)
     basis = graded_basis(PolyRing(table.source), table.N, weight_bound)
     pool = [m for ms in basis.values() for m in ms]

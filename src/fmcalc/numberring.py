@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
@@ -56,6 +55,20 @@ from .errors import (
 
 INFINITY = math.inf
 _ZERO = Fraction(0)
+
+
+class ReadOnly:
+    """Base of the package's immutable records.  A subclass lists its
+    fields in __slots__ and sets each once, in __init__, through
+    object.__setattr__; any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is read-only" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is read-only" % type(self).__name__)
 
 
 def is_prime(n):
@@ -627,15 +640,25 @@ def residue(z):
     return ResidueElement(T, modp.fq_reduce(vec, T.gbar, T.p))
 
 
-@dataclass(frozen=True)
-class ResidueElement:
+class ResidueElement(ReadOnly):
     """Element of the residue field F_q, as a vector over F_p modulo gbar."""
 
-    tower: TowerDescriptor
-    vec: tuple
+    __slots__ = ("tower", "vec")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vec", modp.fq_reduce(self.vec, self.tower.gbar, self.tower.p))
+    def __init__(self, tower, vec):
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "vec", modp.fq_reduce(vec, tower.gbar, tower.p))
+
+    def __eq__(self, other):
+        if other.__class__ is not ResidueElement:
+            return NotImplemented
+        return self.vec == other.vec and self.tower == other.tower
+
+    def __hash__(self):
+        return hash((self.tower, self.vec))
+
+    def __repr__(self):
+        return "ResidueElement(%s)" % (list(self.vec),)
 
     def is_zero(self):
         return not self.vec
@@ -703,13 +726,17 @@ def embed(z, target):
 # Prime splitting of a global polynomial
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    prime: int
-    factor_degrees: tuple
-    ramified: bool
-    splits_completely: bool
-    equal_degrees: bool
+class SplittingReport(ReadOnly):
+    """How a global polynomial factors modulo one prime."""
+
+    __slots__ = ("prime", "factor_degrees", "ramified", "splits_completely", "equal_degrees")
+
+    def __init__(self, prime, factor_degrees, ramified, splits_completely, equal_degrees):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "factor_degrees", factor_degrees)
+        object.__setattr__(self, "ramified", ramified)
+        object.__setattr__(self, "splits_completely", splits_completely)
+        object.__setattr__(self, "equal_degrees", equal_degrees)
 
     def to_json(self):
         return {

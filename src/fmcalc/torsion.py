@@ -9,8 +9,6 @@ index most significant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
 from .gradedpoly import (
@@ -26,23 +24,29 @@ from .gradedpoly import (
     monomial_weight,
     reduce_mod_ideal,
 )
-from .numberring import TowerDescriptor, is_prime, padic_valuation_rational
+from .numberring import ReadOnly, TowerDescriptor, is_prime, padic_valuation_rational
 
 
 # ---------------------------------------------------------------------------
 # Cyclic module presentations
 
 
-@dataclass(frozen=True)
-class CyclicModulePresentation:
-    """R/J for R = Z_(p)[v_1..v_N] (the q = p grading) and J homogeneous."""
+class CyclicModulePresentation(ReadOnly):
+    """R/J for R = Z_(p)[v_1..v_N] (the q = p grading) and J homogeneous.
 
-    p: int
-    N: int
-    gens: tuple  # GradedPoly over the trivial tower, field coefficients
-    finitely_presented: bool
-    context: object  # "bp" or a TowerDescriptor
-    contains_p: object  # smallest a with p^a among constant generators, or None
+    gens: the generators of J, GradedPoly over the trivial tower with field
+    coefficients; context: "bp" or a TowerDescriptor; contains_p: the
+    smallest a with p^a among the constant generators, or None."""
+
+    __slots__ = ("p", "N", "gens", "finitely_presented", "context", "contains_p")
+
+    def __init__(self, p, N, gens, finitely_presented, context, contains_p):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "finitely_presented", finitely_presented)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "contains_p", contains_p)
 
     @property
     def ring(self):
@@ -125,12 +129,14 @@ def _detect_p_power(gens, p):
 # Groebner bases over F_p
 
 
-@dataclass
 class GroebnerBasis:
-    p: int
-    basis: list
-    degree_bound: int
-    truncated: bool = False
+    __slots__ = ("p", "basis", "degree_bound", "truncated")
+
+    def __init__(self, p, basis, degree_bound, truncated=False):
+        self.p = p
+        self.basis = basis
+        self.degree_bound = degree_bound
+        self.truncated = truncated
 
 
 def _monic(f):
@@ -431,13 +437,15 @@ def local_cohomology_degreewise(presentations, p):
 # Verdict assembly
 
 
-@dataclass
 class ObstructionCertificate:
-    verdict: str
-    rules_fired: list
-    witnesses: dict
-    scan_log: list
-    bounds: dict
+    __slots__ = ("verdict", "rules_fired", "witnesses", "scan_log", "bounds")
+
+    def __init__(self, verdict, rules_fired, witnesses, scan_log, bounds):
+        self.verdict = verdict
+        self.rules_fired = rules_fired
+        self.witnesses = witnesses
+        self.scan_log = scan_log
+        self.bounds = bounds
 
     def to_json(self):
         return {

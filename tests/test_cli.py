@@ -77,6 +77,18 @@ class TestParsePoly:
         with pytest.raises(UsageError):
             parse_poly_string("")
 
+    @pytest.mark.parametrize("text", ["+", "-", "x^2++1", "x^2+-1", "--x", "x^2+",
+                                      "x^2 + ", "x^"])
+    def test_empty_terms_and_stray_signs_rejected(self, text):
+        with pytest.raises(UsageError):
+            parse_poly_string(text)
+
+    @pytest.mark.parametrize("text", ["+", "x^2++1", "x^2+"])
+    def test_splitting_rejects_malformed_polynomial(self, capsys, text):
+        code, out, err = run(capsys, "splitting", text, "--pmax", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("fmcalc: error: cannot parse polynomial term")
+
 
 class TestExitCodes:
     def test_tower_check_ok(self, capsys):
@@ -111,6 +123,32 @@ class TestExitCodes:
     def test_negative_N_rejected(self, capsys):
         code, out, err = run(capsys, "log", "--p", "2", "--N", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--p", "2", "--e", "0"],
+        ["gamma", "--p", "2", "--e", "-3"],
+        ["gamma", "--p", "2", "--f", "0"],
+        ["gamma", "--p", "2", "--eis", "x"],
+        ["gamma", "--p", "2", "--eis", "1/0,0,1"],
+        ["gamma", "--p", "2", "--unram", "1,x"],
+        ["verify", "ordering", "--p", "2", "--e", "2", "--N", "2", "--weight-bound", "-3"],
+    ], ids=["e-zero", "e-negative", "f-zero", "eis-text", "eis-zero-denominator",
+            "unram-text", "weight-bound-negative"])
+    def test_bad_tower_or_bound_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg", [{"e": 0}, {"f": 0}, {"weight_bound": -1},
+                                     {"unram": [1, "x"]}, {"N": "x"}],
+                             ids=["e-zero", "f-zero", "weight-bound-negative",
+                                  "unram-text", "N-text"])
+    def test_bad_config_setting(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, p=2)))
+        code, out, err = run(capsys, "verify", "ordering", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -302,3 +340,20 @@ def test_session_reuses_parser_without_leaks(capsys, tmp_path, monkeypatch):
     assert json.loads(results[1][1])["seed"] == 0
     assert json.loads(results[3][1])["certificate"]["bounds"]["k_max"] == 20
     assert results == [run_alone(argv) for argv in session]
+
+
+def test_gamma_cold_start_loads_only_what_it_runs():
+    # A one-shot `fmcalc gamma` needs neither the torsion module nor the
+    # dataclasses machinery (and the inspect module it pulls in).
+    probe = ("import io, contextlib, sys\n"
+             "from fmcalc.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['gamma', '--p', '2', '--e', '2', '--N', '2'])\n"
+             "print(code, sorted(m for m in ('fmcalc.torsion', 'dataclasses', 'inspect')\n"
+             "                  if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("FMCALC_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"

@@ -80,6 +80,24 @@ class TestComputeGamma:
         for n in range(1, 5):
             assert all(nr.is_integral(c) for c in table.image(n).terms.values())
 
+    def test_table_reports_the_towers_it_was_asked_for(self, q2):
+        # Tower equality ignores labels, so two labels of one tower share
+        # the cached images and memo, but each table names its own towers.
+        first = nr.make_tower(2, [0, 1], [-2, 0, 1], "first")
+        second = nr.make_tower(2, [0, 1], [-2, 0, 1], "second")
+        a = gm.compute_gamma(q2, first, 2)
+        b = gm.compute_gamma(q2, second, 2)
+        assert a == b and hash(a) == hash(b) and a.monomials is b.monomials
+        assert (a.target.label, b.target.label) == ("first", "second")
+        assert b.to_json()["target"] == second.to_json()
+
+    def test_table_is_read_only(self, q2, q2_sqrt2):
+        table = gm.compute_gamma(q2, q2_sqrt2, 2)
+        with pytest.raises(AttributeError):
+            table.N = 3
+        with pytest.raises(AttributeError):
+            del table.source
+
     def test_homogeneity(self, q2, q2_sqrt2, unram2_f2):
         for target in (q2_sqrt2, unram2_f2):
             table = gm.compute_gamma(q2, target, 4)

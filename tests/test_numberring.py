@@ -127,6 +127,18 @@ class TestIntegralityValuationResidue:
         assert nr.valuation(t.from_rational(2) / t.theta() ** 2) == 1
         assert nr.valuation(t.zero()) == nr.INFINITY
 
+    def test_residue_reduced_read_only_and_hashed_by_value(self):
+        t = nr.make_tower(3, [1, 0, 1], [0, 1])  # F_9 = F_3[w]/(w^2 + 1)
+        a = nr.ResidueElement(t, (4, 0, 1))  # 4 + w^2 = 3 = 0 mod (3, w^2 + 1)
+        assert a.vec == () and a.is_zero()
+        b = nr.ResidueElement(t, (1, 5))
+        assert b.vec == (1, 2)
+        assert b == nr.ResidueElement(nr.make_tower(3, [1, 0, 1], [0, 1], "other"), (1, 2))
+        assert hash(b) == hash(nr.ResidueElement(t, (4, 2)))
+        assert b != nr.ResidueElement(t, (1, 1)) and b != (1, 2)
+        with pytest.raises(AttributeError):
+            b.vec = (0,)
+
     def test_valuation_additive(self):
         rng = random.Random(5)
         for tower in (

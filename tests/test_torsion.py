@@ -60,6 +60,13 @@ class TestPresentation:
         m = make_module(2, 2, [v_power(None, 1, 1)], include_p=False)
         assert m.contains_p is None
 
+    def test_presentation_is_read_only(self):
+        m = make_module(2, 3, [v_power(None, 1, 1)])
+        with pytest.raises(AttributeError):
+            m.N = 4
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
     def test_json_roundtrip(self):
         m = make_module(3, 2, [v_power(None, 1, 2)])
         m2 = ts.CyclicModulePresentation.from_json(m.to_json())

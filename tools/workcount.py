@@ -11,7 +11,7 @@ line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic and `numberring` inverses.
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
-the log_entries and compute_gamma caches are cleared between jobs here.
+the log_entries and gamma_images caches are cleared between jobs here.
 Call counts do not depend on the speed of the host, so they compare two
 versions of the program where wall times cannot.
 """
@@ -46,7 +46,7 @@ def profile_jobs(job_argvs, fresh_caches):
     for argv in job_argvs:
         if fresh_caches:
             formal.log_entries.cache_clear()
-            gamma.compute_gamma.cache_clear()
+            gamma.gamma_images.cache_clear()
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             prof.enable()
