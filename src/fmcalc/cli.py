@@ -21,8 +21,10 @@ from .formal import hazewinkel_log, log_closed_form, trivial_tower
 from .numberring import (
     TowerDescriptor,
     find_nonsplit_prime,
+    is_integer,
     is_prime,
     make_tower,
+    parse_integer,
 )
 from .report import emit
 
@@ -30,59 +32,80 @@ from .report import emit
 # Configuration
 
 
+def _read_json(path, what):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as ex:
+        raise ConfigParseError("cannot read %s: %s" % (what, ex))
+
+
 def load_config(path):
     if not path:
         return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as ex:
-        raise ConfigParseError("cannot read config %s: %s" % (path, ex))
+    cfg = _read_json(path, "config " + path)
     if not isinstance(cfg, dict):
         raise ConfigParseError("config must be a JSON object")
     return cfg
 
 
+# Integer settings: name -> (default, lowest accepted value).  Each is a
+# --<name> flag (underscores become dashes) and a config key; a flag wins
+# over the config file, and a value absent from both (or null) takes the
+# default.
+# weight_bound defaults to None: the suites that read it work it out from q.
+INTEGER_SETTINGS = {
+    "p": (None, 2),
+    "f": (1, 1),
+    "e": (1, 1),
+    "N": (6, 0),
+    "weight_bound": (None, 0),
+    "kmax": (20, 0),
+    "mmax": (32, 0),
+    "seed": (0, 0),
+}
+
+
+def _integer_setting(key, value):
+    """A setting as an int: an integer number or integer text such as "2".
+    Booleans, fractions and other text are refused, as are values below
+    the setting's lowest."""
+    low = INTEGER_SETTINGS[key][1]
+    try:
+        value = parse_integer(value)
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise UsageError("%s must be an integer >= %d" % (key, low))
+    return value
+
+
 def resolve_settings(args):
-    """Merge config file (or FMCALC_CONFIG) with flags; flags win."""
+    """Merge config file (or FMCALC_CONFIG) with flags; flags win.  Integer
+    settings come back as ints, or None where unset and without default."""
     path = args.config or os.environ.get("FMCALC_CONFIG")
     cfg = load_config(path)
     settings = {
-        "p": cfg.get("p"),
-        "f": cfg.get("f", 1),
-        "e": cfg.get("e", 1),
         "unram": cfg.get("unram"),
         "eis": cfg.get("eis"),
         "tower": cfg.get("tower"),
-        "N": cfg.get("N", 6),
-        "weight_bound": cfg.get("weight_bound"),
-        "kmax": cfg.get("kmax", 20),
-        "mmax": cfg.get("mmax", 32),
-        "seed": cfg.get("seed", 0),
-        "output": cfg.get("output", "json"),
+        "output": args.output or cfg.get("output", "json"),
     }
-    for key in ("p", "f", "e", "N", "weight_bound", "kmax", "mmax", "seed", "output"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            settings[key] = value
+    for key, (default, _) in INTEGER_SETTINGS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = cfg.get(key)
+        settings[key] = default if value is None else _integer_setting(key, value)
     for key in ("unram", "eis"):
         if getattr(args, key, None):
             settings[key] = str(getattr(args, key)).replace(",", " ").split()
     try:
         if settings["unram"]:
-            settings["unram"] = [int(c) for c in settings["unram"]]
+            settings["unram"] = [parse_integer(c) for c in settings["unram"]]
         if settings["eis"]:
             settings["eis"] = [Fraction(str(c)) for c in settings["eis"]]
     except (TypeError, ValueError, ZeroDivisionError) as ex:
         raise UsageError("bad polynomial coefficient: %s" % ex)
-    for key, low in (("f", 1), ("e", 1), ("N", 0), ("weight_bound", 0), ("kmax", 0),
-                     ("mmax", 0), ("seed", 0)):
-        try:
-            bad = settings[key] is not None and int(settings[key]) < low
-        except (TypeError, ValueError):
-            bad = True
-        if bad:
-            raise UsageError("%s must be an integer >= %d" % (key, low))
     return settings
 
 
@@ -92,12 +115,9 @@ def resolve_tower(settings):
     irreducible of degree f, and x^e - p)."""
     if settings.get("tower"):
         return TowerDescriptor.from_json(settings["tower"])
-    p = settings.get("p")
+    p, f, e = settings["p"], settings["f"], settings["e"]
     if p is None:
         raise UsageError("no tower: provide --p (with --f/--e/--unram/--eis) or a config tower")
-    p = int(p)
-    f = int(settings.get("f") or 1)
-    e = int(settings.get("e") or 1)
     if settings.get("unram"):
         g = settings["unram"]
     elif f > 1:
@@ -116,15 +136,21 @@ def resolve_tower(settings):
 
 def _with_common(report, settings, tower=None):
     report = dict(report)
-    report["seed"] = int(settings["seed"])
+    report["seed"] = settings["seed"]
     if tower is not None:
         report["tower"] = tower.to_json()
         report["uniformizer"] = tower.uniformizer_name()
     return report
 
 
+def _gamma_table(tower, N):
+    """The gamma table the CLI reports: from Q_p, the base of the tower."""
+    return gammamod.compute_gamma(trivial_tower(tower.p), tower, N)
+
+
 # ---------------------------------------------------------------------------
 # Verification suites: each takes (tower, N, settings) and returns a report
+# without the suite name, which cmd_verify adds
 
 
 def suite_log_oracle(tower, N, settings):
@@ -132,7 +158,6 @@ def suite_log_oracle(tower, N, settings):
     closed = log_closed_form(tower, N)
     failures = [n for n in range(N + 1) if rec[n] != closed[n]]
     return {
-        "suite": "log-oracle",
         "N": N,
         "passed": not failures,
         "failures": failures,
@@ -141,10 +166,8 @@ def suite_log_oracle(tower, N, settings):
 
 
 def suite_unramified(tower, N, settings):
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
+    table = _gamma_table(tower, N)
     rep = gammamod.check_unramified_formula(table)
-    rep["suite"] = "unramified"
     rep["images"] = {str(n): table.image(n).to_json(N) for n in range(1, N + 1)}
     return rep
 
@@ -152,13 +175,12 @@ def suite_unramified(tower, N, settings):
 def suite_low_degree(tower, N, settings):
     """gamma(v_1), gamma(v_2) against the closed low-degree formulas for a
     totally ramified extension of the base."""
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, max(N, 2))
+    table = _gamma_table(tower, max(N, 2))
     from .numberring import embed
 
-    pi_a = embed(source.uniformizer(), tower)
+    pi_a = embed(table.source.uniformizer(), tower)
     pi_b = tower.uniformizer()
-    q = source.q
+    q = table.source.q
     ring = table.target_ring
     expected1 = ring.gen(1).scale(pi_a / pi_b)
     expected2 = ring.gen(2).scale(pi_a / pi_b) + ring.gen(1, q + 1).scale(
@@ -172,7 +194,6 @@ def suite_low_degree(tower, N, settings):
                 "match": match}
 
     return {
-        "suite": "low-degree",
         "passed": ok1 and ok2,
         "gamma_v1": side(table.image(1), expected1, ok1),
         "gamma_v2": side(table.image(2), expected2, ok2),
@@ -180,10 +201,9 @@ def suite_low_degree(tower, N, settings):
 
 
 def suite_rational_iso(tower, N, settings):
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
-    wb = settings.get("weight_bound")
-    weight_bound = tower.q ** 3 - 1 if wb is None else int(wb)
+    table = _gamma_table(tower, N)
+    wb = settings["weight_bound"]
+    weight_bound = tower.q ** 3 - 1 if wb is None else wb
     weights = {}
     passed = True
     for w in range(weight_bound + 1):
@@ -196,7 +216,6 @@ def suite_rational_iso(tower, N, settings):
             "basis_size": len(rep["basis"]),
         }
     return {
-        "suite": "rational-iso",
         "weight_bound": weight_bound,
         "passed": passed,
         "weights": weights,
@@ -204,32 +223,25 @@ def suite_rational_iso(tower, N, settings):
 
 
 def suite_kappa(tower, N, settings):
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
+    table = _gamma_table(tower, N)
     n = table.e_rel
     results = []
     passed = True
-    j = 1
-    while j * n <= N:
+    for j in range(1, N // n + 1):
         try:
             rep = gammamod.kappa_congruence(table, j)
             results.append(rep)
         except FmcalcError as ex:
             passed = False
             results.append({"j": j, "passed": False, "error": str(ex)})
-        j += 1
-    return {"suite": "kappa", "n": n, "passed": passed, "checks": results}
+    return {"n": n, "passed": passed, "checks": results}
 
 
 def suite_eventual_division(tower, N, settings):
-    m_max = int(settings["mmax"])
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
-    results = []
-    for n in range(1, min(N, 3)):
-        results.append(gammamod.eventual_division_witness(table, n, m_max))
+    m_max = settings["mmax"]
+    table = _gamma_table(tower, N)
+    results = [gammamod.eventual_division_witness(table, n, m_max) for n in range(1, min(N, 3))]
     return {
-        "suite": "eventual-division",
         "m_max": m_max,
         "passed": True,  # raw search outcomes; no theorem asserted here
         "witnesses": results,
@@ -237,15 +249,10 @@ def suite_eventual_division(tower, N, settings):
 
 
 def suite_ordering(tower, N, settings):
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
-    wb = settings.get("weight_bound")
-    weight_bound = 2 * (tower.q ** 2 - 1) if wb is None else int(wb)
-    rep = gammamod.order_preservation_check(
-        table, 100, weight_bound, seed=int(settings["seed"])
-    )
-    rep["suite"] = "ordering"
-    return rep
+    table = _gamma_table(tower, N)
+    wb = settings["weight_bound"]
+    weight_bound = 2 * (tower.q ** 2 - 1) if wb is None else wb
+    return gammamod.order_preservation_check(table, 100, weight_bound, seed=settings["seed"])
 
 
 VERIFY_SUITES = {
@@ -315,7 +322,7 @@ def cmd_tower(args, settings):
 
 def cmd_log(args, settings):
     tower = resolve_tower(settings)
-    N = int(settings["N"])
+    N = settings["N"]
     logs = hazewinkel_log(tower, N)
     report = _with_common({"command": "log", "N": N, "log": logs.to_json()}, settings, tower)
     return report, 0
@@ -323,31 +330,25 @@ def cmd_log(args, settings):
 
 def cmd_gamma(args, settings):
     tower = resolve_tower(settings)
-    N = int(settings["N"])
-    source = trivial_tower(tower.p)
-    table = gammamod.compute_gamma(source, tower, N)
+    table = _gamma_table(tower, settings["N"])
     report = _with_common({"command": "gamma", "table": table.to_json()}, settings, tower)
     return report, 0
 
 
 def cmd_verify(args, settings):
     tower = resolve_tower(settings)
-    report = VERIFY_SUITES[args.suite](tower, int(settings["N"]), settings)
-    report = _with_common({"command": "verify"} | report, settings, tower)
+    report = VERIFY_SUITES[args.suite](tower, settings["N"], settings)
+    report = _with_common({"command": "verify", "suite": args.suite} | report, settings, tower)
     return report, 0 if report.get("passed", False) else 1
 
 
 def cmd_obstruct(args, settings):
-    try:
-        with open(args.module_spec) as fh:
-            spec = json.load(fh)
-    except (OSError, ValueError) as ex:
-        raise ConfigParseError("cannot read module spec: %s" % ex)
+    spec = _read_json(args.module_spec, "module spec")
     from . import torsion
 
     module = torsion.CyclicModulePresentation.from_json(spec)
     cert = torsion.realizability_obstruction(
-        module, k_max=int(settings["kmax"]), m_max=int(settings["mmax"])
+        module, k_max=settings["kmax"], m_max=settings["mmax"]
     )
     report = _with_common(
         {"command": "obstruct", "module": module.to_json(), "certificate": cert.to_json()},
@@ -358,38 +359,21 @@ def cmd_obstruct(args, settings):
 
 def cmd_splitting(args, settings):
     poly = parse_poly_string(args.poly)
+    report = {"command": "splitting", "poly": poly, "p_max": args.pmax}
     try:
         found = find_nonsplit_prime(poly, args.pmax)
-        report = _with_common(
-            {
-                "command": "splitting",
-                "poly": poly,
-                "p_max": args.pmax,
-                "found": True,
-                "report": found.to_json(),
-            },
-            settings,
-        )
-        return report, 0
     except FmcalcError as ex:
         scan = getattr(ex, "scan_table", [])
-        report = _with_common(
-            {
-                "command": "splitting",
-                "poly": poly,
-                "p_max": args.pmax,
-                "found": False,
-                "error": str(ex),
-                "scan_table": [r.to_json() for r in scan],
-            },
-            settings,
-        )
-        return report, 1
+        report |= {"found": False, "error": str(ex), "scan_table": [r.to_json() for r in scan]}
+        return _with_common(report, settings), 1
+    report |= {"found": True, "report": found.to_json()}
+    return _with_common(report, settings), 0
 
 
 def _read_presentations(spec):
     """The {degree: matrix} object of a matrices file, checked: each matrix
-    a list of rows of numbers, all rows of one length."""
+    a list of rows of integers (integral floats included), all rows of one
+    length."""
     degrees = spec.get("degrees", {}) if isinstance(spec, dict) else None
     if not isinstance(degrees, dict):
         raise ConfigParseError("matrices file must be an object with a 'degrees' object")
@@ -398,21 +382,17 @@ def _read_presentations(spec):
             raise ConfigParseError("degree %s: a matrix must be a list of rows" % degree)
         if len({len(row) for row in matrix}) > 1:
             raise ConfigParseError("degree %s: matrix rows differ in length" % degree)
-        if not all(isinstance(x, (int, float)) for row in matrix for x in row):
-            raise ConfigParseError("degree %s: matrix entries must be numbers" % degree)
+        if not all(is_integer(x) for row in matrix for x in row):
+            raise ConfigParseError("degree %s: matrix entries must be integers" % degree)
     return degrees
 
 
 def cmd_localcoh(args, settings):
-    try:
-        with open(args.matrices) as fh:
-            spec = json.load(fh)
-    except (OSError, ValueError) as ex:
-        raise ConfigParseError("cannot read matrices file: %s" % ex)
+    spec = _read_json(args.matrices, "matrices file")
     degrees = _read_presentations(spec)
     try:
-        p = int(spec.get("p", settings.get("p") or 0))
-    except (TypeError, ValueError):
+        p = parse_integer(spec.get("p", settings["p"] or 0))
+    except ValueError:
         raise ConfigParseError("matrices file: p must be an integer")
     if not is_prime(p):
         raise UsageError("localcoh requires a prime p in the JSON or via --p")
@@ -438,19 +418,15 @@ def build_parser():
     unchanged, so every run_command call can share it."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file (or FMCALC_CONFIG)")
-    common.add_argument("--p", type=int)
-    common.add_argument("--f", type=int)
-    common.add_argument("--e", type=int)
+    for key in INTEGER_SETTINGS:
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=int)
     common.add_argument("--unram", help="unramified polynomial coefficients, constant first")
     common.add_argument("--eis", help="Eisenstein polynomial coefficients, constant first")
-    common.add_argument("--N", type=int)
-    common.add_argument("--weight-bound", dest="weight_bound", type=int)
-    common.add_argument("--kmax", type=int)
-    common.add_argument("--mmax", type=int)
-    common.add_argument("--seed", type=int)
     common.add_argument("--output", choices=("json", "text"))
 
-    parser = _Parser(prog="fmcalc", description=__doc__, parents=[common])
+    # The common options belong to the subcommands alone: given before the
+    # subcommand name they are refused, not overwritten by its defaults.
+    parser = _Parser(prog="fmcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
     ptower = sub.add_parser("tower", parents=[common])

@@ -19,6 +19,7 @@ import functools
 from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
 from .formal import hazewinkel_log
 from .gradedpoly import (
+    GradedPoly,
     PolyRing,
     apply_ring_map,
     divide,
@@ -222,7 +223,7 @@ def kappa_congruence(table, j):
         table.target.uniformizer() ** n
     )
     rhs_ring = table.target_ring.residue_ring()
-    rhs = rhs_ring.from_terms({monomial({j: exponent}): residue(coeff)})
+    rhs = GradedPoly(rhs_ring, {monomial({j: exponent}): residue(coeff)})
     N = table.N
     if lhs != rhs:
         raise CongruenceFailed(

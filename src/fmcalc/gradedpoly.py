@@ -140,13 +140,8 @@ class PolyRing:
     def one(self):
         return GradedPoly(self, {ONE_MONOMIAL: self.coeff_one()})
 
-    def gen(self, n, exp=1, coeff=None):
-        if coeff is None:
-            coeff = self.coeff_one()
-        return GradedPoly(self, {monomial({n: exp}): coeff})
-
-    def from_terms(self, terms):
-        return GradedPoly(self, terms)
+    def gen(self, n, exp=1):
+        return GradedPoly(self, {monomial({n: exp}): self.coeff_one()})
 
     def __repr__(self):
         return "PolyRing(%s, %s)" % (self.tower.label, self.coefficients)

@@ -217,10 +217,6 @@ def fq_reduce(vec, gbar, p):
     return vec if len(vec) < len(gbar) else poly_divmod(vec, gbar, p)[1]
 
 
-def fq_add(a, b, p):
-    return add(a, b, p)
-
-
 def fq_mul(a, b, gbar, p):
     return fq_reduce(mul(a, b, p), gbar, p)
 

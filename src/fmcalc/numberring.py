@@ -42,6 +42,7 @@ from fractions import Fraction
 
 from . import modp
 from .errors import (
+    ConfigParseError,
     DivisionByZero,
     FmcalcError,
     NoSuitablePrimeFound,
@@ -109,7 +110,8 @@ def _int_valuation(n, p):
 
 
 def padic_valuation_rational(r, p):
-    """p-adic valuation of a Fraction; +infinity for 0."""
+    """p-adic valuation of a rational, an int or a Fraction; +infinity
+    for 0."""
     if r == 0:
         return INFINITY
     return _int_valuation(r.numerator, p) - _int_valuation(r.denominator, p)
@@ -117,6 +119,22 @@ def padic_valuation_rational(r, p):
 
 def parse_rational(s):
     return Fraction(str(s))
+
+
+def is_integer(x):
+    """True for the JSON numbers read as integers: an int that is not a
+    bool, or an integral float such as 2.0."""
+    return type(x) is int or isinstance(x, float) and x.is_integer()
+
+
+def parse_integer(x):
+    """An int from an integer number or integer text such as "2".  Booleans,
+    fractions and other text raise ValueError instead of being rounded."""
+    if isinstance(x, str):
+        x = int(x)
+    if not is_integer(x):
+        raise ValueError("not an integer: %r" % (x,))
+    return int(x)
 
 
 def format_rational(r):
@@ -216,9 +234,6 @@ class TowerDescriptor:
 
     # -- element constructors ------------------------------------------------
 
-    def element(self, coords):
-        return FieldElement(self, coords)
-
     def zero(self):
         return self.from_rational(0)
 
@@ -230,15 +245,12 @@ class TowerDescriptor:
         nums = (r.numerator,) + (0,) * (self.d - 1)
         return FieldElement.from_numerators(self, nums, r.denominator)
 
-    def _basis_element(self, k):
-        nums = [0] * self.d
-        nums[k] = 1
-        return FieldElement.from_numerators(self, nums, 1)
-
     def theta(self):
         if self.e == 1:
             return self.zero()
-        return self._basis_element(self.f)
+        nums = [0] * self.d
+        nums[self.f] = 1
+        return FieldElement.from_numerators(self, nums, 1)
 
     def uniformizer(self):
         """theta when e > 1, otherwise p (the recorded choice)."""
@@ -311,13 +323,19 @@ class TowerDescriptor:
 
     @staticmethod
     def from_json(obj):
-        eis = [[parse_rational(c) for c in coeff] for coeff in obj["eis_poly"]]
-        return TowerDescriptor(
-            int(obj["p"]),
-            [int(c) for c in obj["unram_poly"]],
-            eis,
-            obj.get("label", ""),
-        )
+        """Parse a tower object with p, unram_poly, eis_poly and an optional
+        label.  A malformed object raises ConfigParseError; a well-formed one
+        that names no valid tower raises the constructor's error."""
+        try:
+            eis = [[parse_rational(c) for c in coeff] for coeff in obj["eis_poly"]]
+            return TowerDescriptor(
+                parse_integer(obj["p"]),
+                [parse_integer(c) for c in obj["unram_poly"]],
+                eis,
+                obj.get("label", ""),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as ex:
+            raise ConfigParseError("tower: %s: %s" % (type(ex).__name__, ex))
 
     def __repr__(self):
         return "TowerDescriptor(%s)" % self.label
@@ -672,7 +690,7 @@ class ResidueElement(ReadOnly):
 
     def __add__(self, other):
         self._check(other)
-        return ResidueElement(self.tower, modp.fq_add(self.vec, other.vec, self.tower.p))
+        return ResidueElement(self.tower, modp.add(self.vec, other.vec, self.tower.p))
 
     def __sub__(self, other):
         self._check(other)

@@ -130,12 +130,10 @@ def _detect_p_power(gens, p):
 
 
 class GroebnerBasis:
-    __slots__ = ("p", "basis", "degree_bound", "truncated")
+    __slots__ = ("basis", "truncated")
 
-    def __init__(self, p, basis, degree_bound, truncated=False):
-        self.p = p
+    def __init__(self, basis, truncated=False):
         self.basis = basis
-        self.degree_bound = degree_bound
         self.truncated = truncated
 
 
@@ -147,9 +145,8 @@ def _monic(f):
 def normal_form(f, gb):
     """Remainder of f on division by the basis; zero certifies membership
     (only up to the truncation caveat, which is raised as an error)."""
-    basis = gb.basis if isinstance(gb, GroebnerBasis) else list(gb)
-    rem = divide(f, basis)[1]
-    if isinstance(gb, GroebnerBasis) and gb.truncated and not rem.is_zero():
+    rem = divide(f, gb.basis)[1]
+    if gb.truncated and not rem.is_zero():
         raise TruncationUnsound(
             "basis was degree-truncated; nonzero normal form proves nothing"
         )
@@ -161,9 +158,8 @@ def groebner_basis(gens, degree_bound):
     monomial order, with S-polynomial weight capped by degree_bound."""
     work = [_monic(g) for g in gens if not g.is_zero()]
     if not work:
-        return GroebnerBasis(p=0, basis=[], degree_bound=degree_bound)
+        return GroebnerBasis([])
     ring = work[0].ring
-    p = ring.tower.p
     basis = list(work)
     truncated = False
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -198,7 +194,7 @@ def groebner_basis(gens, degree_bound):
         if b not in seen:
             seen.append(b)
     seen.sort(key=lambda b: monomial_key(leading_term(b)[0]))
-    return GroebnerBasis(p=p, basis=seen, degree_bound=degree_bound, truncated=truncated)
+    return GroebnerBasis(seen, truncated)
 
 
 def module_groebner(module, degree_bound=None):
@@ -216,12 +212,8 @@ def module_groebner(module, degree_bound=None):
     for g in module.gens:
         if set(g.terms) == {()}:
             continue  # the generator p itself
-        r = reduce_mod_ideal(g, 1)
-        if not r.is_zero():
-            reduced.append(r)
-    return groebner_basis(reduced, degree_bound) if reduced else GroebnerBasis(
-        p=module.p, basis=[], degree_bound=degree_bound
-    )
+        reduced.append(reduce_mod_ideal(g, 1))
+    return groebner_basis(reduced, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +405,10 @@ def local_cohomology_degreewise(presentations, p):
         g = len(matrix)
         diag = [D[i][i] for i in range(min(g, len(matrix[0])))]
         rank = sum(1 for x in diag if x != 0)
-        h0 = []
-        for x in diag:
-            if x == 0 or abs(x) == 1:
-                continue
-            a = 0
-            y = abs(x)
-            while y % p == 0:
-                y //= p
-                a += 1
-            if a:
-                h0.append(p ** a)
-        h0.sort()
+        # the p-part of each nonzero elementary divisor; units drop out
+        h0 = [p ** padic_valuation_rational(x, p) for x in diag if x]
         report[str(degree)] = {
-            "H0_invariants": h0,
+            "H0_invariants": sorted(q for q in h0 if q > 1),
             "H1_corank": g - rank,
             "H2_and_above": 0,
         }
@@ -448,13 +430,7 @@ class ObstructionCertificate:
         self.bounds = bounds
 
     def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "rules_fired": self.rules_fired,
-            "witnesses": self.witnesses,
-            "scan_log": self.scan_log,
-            "bounds": self.bounds,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def realizability_obstruction(module, k_max=20, m_max=32):
@@ -471,54 +447,35 @@ def realizability_obstruction(module, k_max=20, m_max=32):
     """
     bounds = {"k_max": k_max, "m_max": m_max}
     scan_log = []
+
+    def certificate(verdict, rule=None, **witnesses):
+        return ObstructionCertificate(
+            verdict, [rule] if rule else [], witnesses, scan_log, bounds
+        )
+
     tower_context = isinstance(module.context, TowerDescriptor)
     nontrivially_unramified = tower_context and module.context.f > 1
 
+    if not module.gens and tower_context:
+        # The free route: no relation at all, so no p-torsion relation.
+        # V^A over itself qualifies.
+        if not nontrivially_unramified:
+            scan_log.append({"check": "context tower totally ramified or trivial"})
+            return certificate("NoObstructionFound")
+        scan_log.append({"check": "p-power-torsion of the generator 1",
+                         "outcome": "p^k * 1 != 0 for all k (free module)"})
+        return certificate(
+            "NotRealizable", "R2",
+            not_p_power_torsion_witness="1",
+            tower=module.context.to_json(),
+            reason="context tower is not totally ramified and "
+            "the module is not p-power-torsion",
+        )
     if module.contains_p is None:
-        # The free route: no p-torsion relation. V^A over itself qualifies.
-        if not module.gens and tower_context:
-            if nontrivially_unramified:
-                return ObstructionCertificate(
-                    verdict="NotRealizable",
-                    rules_fired=["R2"],
-                    witnesses={
-                        "not_p_power_torsion_witness": "1",
-                        "tower": module.context.to_json(),
-                        "reason": "context tower is not totally ramified and "
-                        "the module is not p-power-torsion",
-                    },
-                    scan_log=[
-                        {
-                            "check": "p-power-torsion of the generator 1",
-                            "outcome": "p^k * 1 != 0 for all k (free module)",
-                        }
-                    ],
-                    bounds=bounds,
-                )
-            return ObstructionCertificate(
-                verdict="NoObstructionFound",
-                rules_fired=[],
-                witnesses={},
-                scan_log=[{"check": "context tower totally ramified or trivial"}],
-                bounds=bounds,
-            )
-        return ObstructionCertificate(
-            verdict="OutsideScope",
-            rules_fired=[],
-            witnesses={"reason": "ideal does not contain a power of p"},
-            scan_log=scan_log,
-            bounds=bounds,
-        )
+        return certificate("OutsideScope", reason="ideal does not contain a power of p")
     if module.contains_p > 1:
-        return ObstructionCertificate(
-            verdict="OutsideScope",
-            rules_fired=[],
-            witnesses={
-                "reason": "ideal contains p^%d but not p" % module.contains_p
-            },
-            scan_log=scan_log,
-            bounds=bounds,
-        )
+        return certificate("OutsideScope",
+                           reason="ideal contains p^%d but not p" % module.contains_p)
 
     gb = module_groebner(module)
     torsion = {}
@@ -534,51 +491,25 @@ def realizability_obstruction(module, k_max=20, m_max=32):
         div = eventual_division_module(module, n + 1, n, m_max, gb=gb)
         scan_log.append(div)
         if div["found"]:
-            return ObstructionCertificate(
-                verdict="NotRealizable",
-                rules_fired=["R1"],
-                witnesses={
-                    "p_power_torsion": {"k": 1, "reason": "p lies in the ideal"},
-                    "division_witness": div,
-                    "not_vn_power_torsion": torsion[n],
-                },
-                scan_log=scan_log,
-                bounds=bounds,
+            return certificate(
+                "NotRealizable", "R1",
+                p_power_torsion={"k": 1, "reason": "p lies in the ideal"},
+                division_witness=div,
+                not_vn_power_torsion=torsion[n],
             )
 
     if nontrivially_unramified:
         for n in range(1, module.N + 1):
             if not torsion[n]["torsion"]:
-                return ObstructionCertificate(
-                    verdict="NotRealizable",
-                    rules_fired=["R2"],
-                    witnesses={
-                        "tower": module.context.to_json(),
-                        "not_vn_power_torsion": torsion[n],
-                    },
-                    scan_log=scan_log,
-                    bounds=bounds,
-                )
+                return certificate("NotRealizable", "R2", tower=module.context.to_json(),
+                                   not_vn_power_torsion=torsion[n])
 
     if module.finitely_presented and all(t["torsion"] for t in torsion.values()):
-        return ObstructionCertificate(
-            verdict="NotRealizable",
-            rules_fired=["R3"],
-            witnesses={"torsion_exponents": {str(n): torsion[n]["k"] for n in torsion}},
-            scan_log=scan_log,
-            bounds=bounds,
-        )
+        return certificate("NotRealizable", "R3", torsion_exponents={
+            str(n): torsion[n]["k"] for n in torsion})
 
-    return ObstructionCertificate(
-        verdict="NoObstructionFound",
-        rules_fired=[],
-        witnesses={
-            "torsion_exponents": {
-                str(n): (torsion[n].get("k") if torsion[n]["torsion"] else
-                         {"unresolved_up_to": k_max})
-                for n in torsion
-            }
-        },
-        scan_log=scan_log,
-        bounds=bounds,
-    )
+    return certificate("NoObstructionFound", torsion_exponents={
+        str(n): (torsion[n].get("k") if torsion[n]["torsion"] else
+                 {"unresolved_up_to": k_max})
+        for n in torsion
+    })

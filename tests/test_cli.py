@@ -38,6 +38,10 @@ def _ideal_term(exps, coeff="1"):
     return {"terms": [{"exps": exps, "coeff": coeff}]}
 
 
+# A valid config tower, Q2(sqrt2); its fields are spoiled one at a time below.
+Q2_SQRT2 = {"p": 2, "unram_poly": [1, 1], "eis_poly": [["-2"], ["0"], ["1"]]}
+
+
 # Module files that `obstruct` must reject with exit 2.
 BAD_MODULES = {
     "empty-object": {},
@@ -140,13 +144,39 @@ class TestExitCodes:
         assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cfg", [{"e": 0}, {"f": 0}, {"weight_bound": -1},
-                                     {"unram": [1, "x"]}, {"N": "x"}],
+                                     {"unram": [1, "x"]}, {"N": "x"}, {"p": "x"},
+                                     {"N": 2.7}, {"seed": 1.5}, {"e": True},
+                                     {"tower": {"p": 2}}, {"tower": "x"},
+                                     {"unram": [1.5, 1]},
+                                     {"tower": dict(Q2_SQRT2, p=2.9)},
+                                     {"tower": dict(Q2_SQRT2, unram_poly=[0.7, 1])}],
                              ids=["e-zero", "f-zero", "weight-bound-negative",
-                                  "unram-text", "N-text"])
+                                  "unram-text", "N-text", "p-text", "N-fraction",
+                                  "seed-fraction", "e-bool", "tower-without-polys",
+                                  "tower-text", "unram-fraction", "tower-p-fraction",
+                                  "tower-unram-fraction"])
     def test_bad_config_setting(self, capsys, tmp_path, cfg):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dict(cfg, p=2)))
+        path.write_text(json.dumps({"p": 2, **cfg}))
         code, out, err = run(capsys, "verify", "ordering", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg", [{"N": 2.0, "seed": "3"}, {"N": "2", "seed": 3.0}],
+                             ids=["integral-float", "integer-text"])
+    def test_integer_config_setting_forms(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p": 2, "e": 2, **cfg}))
+        by_config = run(capsys, "verify", "ordering", "--config", str(path))
+        by_flags = run(capsys, "verify", "ordering", "--p", "2", "--e", "2", "--N", "2",
+                       "--seed", "3")
+        assert by_config == by_flags and by_flags[0] == 0
+
+    @pytest.mark.parametrize("argv", [["--N", "9", "gamma", "--p", "2", "--e", "2"],
+                                      ["--p", "2", "gamma"]],
+                             ids=["N-before-subcommand", "p-before-subcommand"])
+    def test_setting_before_subcommand_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
 
@@ -248,8 +278,10 @@ class TestCommands:
         assert rep["degrees"]["0"]["H1_corank"] == 1
 
     @pytest.mark.parametrize("p, matrix", [(2, [[1, 2], [3]]), (2, [[2, 2], [3, "a"]]),
-                                           (4, [[8]])],
-                             ids=["ragged", "non-numeric", "composite-p"])
+                                           (4, [[8]]), (2, [[2.5]]), (2, [[True, 2]]),
+                                           (2.5, [[4]])],
+                             ids=["ragged", "non-numeric", "composite-p", "fractional",
+                                  "bool", "p-fraction"])
     def test_localcoh_malformed_matrix(self, capsys, tmp_path, p, matrix):
         spec = tmp_path / "lc.json"
         spec.write_text(json.dumps({"p": p, "degrees": {"0": matrix}}))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,8 @@ from fmcalc.gradedpoly import (
     monomial,
     reduce_mod_ideal,
 )
+from fmcalc.numberring import make_tower
+from fmcalc.report import canonical_json
 
 
 def make_module(p, N, gen_dicts, finitely_presented=True, context="bp",
@@ -573,3 +576,38 @@ class TestObstruction:
         y = GradedPoly.from_json(ring, div["y"])
         v1 = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
         assert ts.normal_form(lhs - v1 * y, gb).is_zero()
+
+
+UNRAM2_F2 = {"tower": make_tower(2, [1, 1, 1], [0, 1], "unram f=2 over Q2").to_json()}
+Q2_SQRT2 = {"tower": make_tower(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)").to_json()}
+V2_MINUS_V1_CUBED = {"terms": [{"exps": {"2": 1}, "coeff": "1"},
+                               {"exps": {"1": 3}, "coeff": "-1"}]}
+
+# One p = 2, N = 2 module per branch of realizability_obstruction, with the
+# sha256 of its certificate's canonical JSON.
+VERDICT_BRANCHES = {
+    "R1": (lambda: make_module(2, 2, [V2_MINUS_V1_CUBED]),
+           "c699e141b704fac99c4a15a1c306e1cbfa44b6d70d27438a8b7a49f67b8a1000"),
+    "R2-free": (lambda: make_module(2, 2, [], False, UNRAM2_F2, include_p=False),
+                "7406df20eb95a0da3a9dcf871f90b4a3ba2c4d3b9e3861aba08bcbce210f7fc7"),
+    "R2-scanned": (lambda: make_module(2, 2, [v_power(None, 1, 1)], False, UNRAM2_F2),
+                   "be1bf28c0e11ec15fcae732d74bbcec69888a0cc731f150ad82d54c36d5a3087"),
+    "R3": (lambda: make_module(2, 2, [v_power(None, 1, 1), v_power(None, 2, 1)]),
+           "fcf4f387d89905776f4f3c7e3f7e60b071271a2980a4714f81b4b8364bd86640"),
+    "none-free": (lambda: make_module(2, 2, [], False, Q2_SQRT2, include_p=False),
+                  "261b7a8d95b7307916ebeeb76a04ad717a6d5758856becf2ad7c237024c52165"),
+    "none-scanned": (lambda: make_module(2, 2, [v_power(None, 1, 1)], False),
+                     "77155b3644257c615de44965a2c82bb49199393b9cf10e1a583df025dd50b6fc"),
+    "outside-no-p": (lambda: make_module(2, 2, [v_power(None, 1, 1)], include_p=False),
+                     "6695df87eb5db6938da1ba9b798264ef9828bc2b5ac08bdd5774c3dae9ded55e"),
+    "outside-p-square": (
+        lambda: make_module(2, 2, [{"terms": [{"exps": {}, "coeff": "4"}]}], include_p=False),
+        "8a17806d7589faf2b991f18e70fabf9fc65bb71eea108d8baab4ae29c3dbd682"),
+}
+
+
+@pytest.mark.parametrize("branch", list(VERDICT_BRANCHES))
+def test_certificate_digest_per_verdict_branch(branch):
+    build, expected = VERDICT_BRANCHES[branch]
+    cert = ts.realizability_obstruction(build()).to_json()
+    assert hashlib.sha256(canonical_json(cert).encode()).hexdigest() == expected
