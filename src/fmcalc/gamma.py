@@ -28,6 +28,7 @@ from .gradedpoly import (
     monomial,
     monomial_image,
     monomial_key,
+    monomials_of_weight,
     reduce_mod_ideal,
 )
 from .numberring import ReadOnly, embed, is_integral, residue, valuation
@@ -175,7 +176,7 @@ def gamma_sharp_matrix(table, weight):
     """Matrix of gamma in one weight, bases sorted descending in the
     monomial order, with triangularity/diagonal diagnostics."""
     ring_B = table.target_ring
-    basis = graded_basis(ring_B, table.N, weight)[weight]
+    basis = monomials_of_weight(ring_B.q, table.N, weight)
     size = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     matrix = [[ring_B.tower.zero() for _ in range(size)] for _ in range(size)]
@@ -278,12 +279,21 @@ def poly_divide(f, d):
 
 
 def _powers_of_p_up_to(p, m_max):
-    out = []
-    m = 1
-    while m <= m_max:
-        out.append(m)
-        m *= p
-    return out
+    return [p ** k for k in range(m_max.bit_length()) if p ** k <= m_max]
+
+
+def _power_divisions(g, d):
+    """(q_m, r_m) with g^m = q_m * d + r_m, r_m the remainder of g^m by d,
+    for m = 1, 2, ...  A single divisor is a Groebner basis of (d), so the
+    remainder is unique, and so is q_m in a domain.  Since
+    g^m - g * r_{m-1} = g * q_{m-1} * d, each step divides only
+    g * r_{m-1}: r_m is its remainder and q_m = g * q_{m-1} + its quotient."""
+    quot, rem = d.ring.zero(), g
+    while True:
+        step, rem = poly_divide(rem, d)
+        quot = quot + step
+        yield quot, rem
+        quot, rem = quot * g, rem * g
 
 
 def eventual_division_witness(table, n, m_max):
@@ -292,9 +302,9 @@ def eventual_division_witness(table, n, m_max):
 
     The zero case (y = 0) is scanned over powers of p first — mirroring the
     vanishing bound "smallest power of p exceeding e" — then the division
-    case over all m via exact polynomial division.  For n = 1 the raw
-    zero-case outcome modulo the uniformizer is reported alongside the
-    modulo-p convention.
+    case over all m, each remainder and quotient carried on from the one
+    before (see _power_divisions).  For n = 1 the raw zero-case outcome
+    modulo the uniformizer is reported alongside the modulo-p convention.
     """
     if n + 1 > table.N:
         raise ValueError("need gamma(v_%d): exceeds table truncation" % (n + 1))
@@ -306,11 +316,11 @@ def eventual_division_witness(table, n, m_max):
         "m_max": m_max,
         "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1),
     }
-    powers = [table.target_ring.one(), g_next]  # powers[m] = g_next^m, built on demand
+    powers = {1: g_next}  # powers[m] = g_next^m, built on demand
 
     def power(m):
-        while len(powers) <= m:
-            powers.append(powers[-1] * g_next)
+        if m not in powers:
+            powers[m] = power(m // p) ** p if m % p == 0 else power(m - 1) * g_next
         return powers[m]
 
     if n == 1:
@@ -324,9 +334,11 @@ def eventual_division_witness(table, n, m_max):
         if in_ideal_In(power(m), n):
             report.update({"found": True, "case": "zero", "m": m, "y": "0"})
             return report
-    for m in range(1, m_max + 1):
-        # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
-        quot, rem = poly_divide(power(m), g_n) if g_n else (g_n, power(m))
+    # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
+    divisions = _power_divisions(g_next, g_n) if g_n else (
+        (g_n, power(m)) for m in range(1, m_max + 1)
+    )
+    for m, (quot, rem) in zip(range(1, m_max + 1), divisions):
         if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
             report.update(
                 {"found": True, "case": "divide", "m": m, "y": quot.to_json(table.N)}

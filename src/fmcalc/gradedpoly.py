@@ -466,31 +466,26 @@ def reduce_mod_ideal(f, n):
     return GradedPoly(out_ring, terms)
 
 
+def monomials_of_weight(q, N, w):
+    """All monomials in v_1..v_N of weight exactly w (grading q), sorted
+    descending in the monomial order: the exponent of v_N from the largest
+    down, each followed by the monomials of v_1..v_{N-1} of the weight
+    left.  Every generator has positive weight, so no monomial of weight w
+    extends another."""
+    if N == 0:
+        return [ONE_MONOMIAL] if w == 0 else []
+    wn = q ** N - 1
+    out = []
+    for a in range(w // wn, -1, -1):
+        top = ((N, a),) if a else ()
+        out += [m + top for m in monomials_of_weight(q, N - 1, w - a * wn)]
+    return out
+
+
 def graded_basis(ring, N, weight_bound):
     """All monomials in v_1..v_N of each weight <= weight_bound, per
     weight, each list sorted descending in the monomial order."""
-    q = ring.q
-    by_weight = {w: [] for w in range(weight_bound + 1)}
-
-    # Enumerate once up to the bound, bucketing by exact weight.
-    def rec2(n, used, acc):
-        if n == 0:
-            by_weight[used].append(monomial(list(acc)))
-            return
-        wn = q ** n - 1
-        a = 0
-        while used + a * wn <= weight_bound:
-            if a:
-                acc.append((n, a))
-            rec2(n - 1, used + a * wn, acc)
-            if a:
-                acc.pop()
-            a += 1
-
-    rec2(N, 0, [])
-    for w in by_weight:
-        by_weight[w].sort(key=monomial_key, reverse=True)
-    return by_weight
+    return {w: monomials_of_weight(ring.q, N, w) for w in range(weight_bound + 1)}
 
 
 def divide_by_var(f, n):

@@ -21,8 +21,9 @@ multiplication rows r_l = sum_k nums_k * s_kl, with x * basis_l = r_l /
 (den * ds) (`mul_rows`).  A product x * y is then one integer accumulate
 step acc += sum_l y.nums_l * r_l (`mul_accumulate`) followed by one division
 by den_x * den_y * ds, reduced with a single gcd.  `FieldElement.__mul__`,
-`FieldElement.inverse` (which solves against the same matrix) and the
-field-coefficient product of graded polynomials all use it.
+`FieldElement.inverse` (which solves against the same matrix, fraction-free
+on integers) and the field-coefficient product of graded polynomials all
+use it.
 
 Valuation and integrality read the integers directly.  x is integral iff p
 does not divide den: in canonical form some numerator is prime to p
@@ -88,16 +89,17 @@ def is_prime(n):
 
 
 def binary_power(x, n, one):
-    """x ** n for an integer n >= 0 by square-and-multiply, starting from
-    `one`; x is squared only while bits of n remain."""
-    result = one
+    """x ** n for an integer n >= 0 by square-and-multiply; x is squared
+    only while bits of n remain, and `one` is returned only for n = 0, so
+    no product is taken by it.  For n = 1 the result is x itself."""
+    result = None
     while n:
         if n & 1:
-            result = result * x
+            result = x if result is None else result * x
         n >>= 1
         if n:
             x = x * x
-    return result
+    return one if result is None else result
 
 
 def _int_valuation(n, p):
@@ -560,24 +562,28 @@ class FieldElement:
         d = T.d
         # Column l of the integer matrix A is the numerator row of
         # self * basis_l, so self * y = (A y) / (den * ds).  Solve
-        # A x = den * ds * e_0 by Gaussian elimination over Q.
-        scale = self.den * T.structure_constants()[1]
-        M = [[_ZERO] * d + [Fraction(scale if r == 0 else 0)] for r in range(d)]
+        # A x = den * ds * e_0 by fraction-free (Bareiss) Gauss-Jordan
+        # elimination on integers: each division by the previous pivot is
+        # exact, and at the end M = [pivot * I | pivot * x].
+        M = [[0] * d + [self.den * T.structure_constants()[1] if r == 0 else 0]
+             for r in range(d)]
         for l, row in enumerate(mul_rows(T, self.nums)):
             for m, c in row:
-                M[m][l] = Fraction(c)
+                M[m][l] = c
+        prev = 1
         for col in range(d):
-            piv = next((r for r in range(col, d) if M[r][col] != 0), None)
+            piv = next((r for r in range(col, d) if M[r][col]), None)
             if piv is None:
                 raise DivisionByZero("singular multiplication matrix (zero divisor?)")
             M[col], M[piv] = M[piv], M[col]
-            inv = 1 / M[col][col]
-            M[col] = [x * inv for x in M[col]]
+            top, pivot = M[col], M[col][col]
             for r in range(d):
-                if r != col and M[r][col] != 0:
+                if r != col:
                     factor = M[r][col]
-                    M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-        return FieldElement.from_flat(T, [M[r][d] for r in range(d)])
+                    M[r] = [(pivot * x - factor * y) // prev for x, y in zip(M[r], top)]
+            prev = pivot
+        sign = 1 if prev > 0 else -1
+        return FieldElement.from_numerators(T, [sign * row[d] for row in M], sign * prev)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

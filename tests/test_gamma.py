@@ -195,6 +195,20 @@ class TestEventualDivision:
         assert "zero_case_mod_uniformizer" in rep
         assert rep["found"] is False
 
+    def test_divide_case(self, q2, q2_sqrt2):
+        # g_1 = v_1, g_2 = v_1 + theta v_2: no power of g_2 lies in I_1, but
+        # g_2^2 = (v_1 + 2 theta v_2) g_1 + 2 v_2^2 with 2 v_2^2 in I_1.
+        ring = PolyRing(q2_sqrt2)
+        v1, v2, theta = ring.gen(1), ring.gen(2), q2_sqrt2.theta()
+        g1, g2 = v1, v1 + v2.scale(theta)
+        table = gm.GammaTable(q2, q2_sqrt2, 2, (None, g1, g2), {})
+        rep = gm.eventual_division_witness(table, 1, 8)
+        y = v1 + v2.scale(theta * 2)
+        assert rep["found"] and rep["case"] == "divide" and rep["m"] == 2
+        assert rep["y"] == y.to_json(2)
+        r = g2 ** 2 - y * g1
+        assert r == ring.gen(2, 2).scale(2) and gm.in_ideal_In(r, 1)
+
     def test_poly_divide_is_exact(self, q2, q2_sqrt2):
         table = gm.compute_gamma(q2, q2_sqrt2, 3)
         f = table.image(2) ** 2

@@ -1,10 +1,13 @@
 """Property tests of the exact-arithmetic layer: the integer-numerator
 representation, the multiplication kernel against the polynomial-reduction
-reference, inverses, the closed-form valuation, graded products, gamma as
-a ring map and its memoized monomial images, multivariate division and the
-monomial order, normal forms modulo Groebner bases over F_p, Smith
-normal form, and logs and gamma images that do not depend on N."""
+reference, inverses against Gauss-Jordan elimination over Q, the
+closed-form valuation, graded products, gamma as a ring map and its
+memoized monomial images, multivariate division, the remainders of
+successive powers and the monomial order, the monomials of one weight,
+normal forms modulo Groebner bases over F_p, Smith normal form, and logs
+and gamma images that do not depend on N."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
 from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
-from fmcalc.gamma import GammaTable, compute_gamma
+from fmcalc.gamma import GammaTable, _power_divisions, compute_gamma, poly_divide
 from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
@@ -26,6 +29,7 @@ from fmcalc.gradedpoly import (
     monomial_key,
     monomial_mul,
     monomial_weight,
+    monomials_of_weight,
 )
 from fmcalc.numberring import (
     FieldElement,
@@ -46,6 +50,8 @@ TOWERS = [
     # Eisenstein polynomial x^2 + 3w*x + 3w over Q3(w), w^2 = -1.
     make_tower(3, [1, 0, 1], [[0, 3], [0, 3], [1]], "f=2, x^2+3wx+3w over Q3"),
     make_tower(5, [0, 1], [-5, 0, 1], "Q5(x^2-5)"),
+    # d = 6: x^3 + 2w*x + 2 over Q2(w), w^2 + w + 1 = 0.
+    make_tower(2, [1, 1, 1], [[2], [0, 2], [0], [1]], "f=2, x^3+2wx+2 over Q2"),
     # Rational Eisenstein polynomial: structure constants over ds = 2.
     make_tower(3, [0, 1], [Fraction(-3, 2), 0, 1], "Q3(x^2-3/2)"),
 ]
@@ -155,12 +161,45 @@ def test_product_matches_polynomial_reduction(args):
     assert x * y == FieldElement(tower, _basis_mul(tower, x.coords, y.coords))
 
 
+def _inverse_reference(x):
+    """1/x by Gauss-Jordan elimination over Q: column l of the matrix holds
+    the coordinates of x * basis_l from the polynomial-reduction product,
+    and the solution of A y = e_0 is the coordinates of 1/x."""
+    tower = x.tower
+    d, f, e = tower.d, tower.f, tower.e
+    A = [[Fraction(0)] * d + [Fraction(int(r == 0))] for r in range(d)]
+    for l in range(d):
+        basis = [[Fraction(0)] * f for _ in range(e)]
+        basis[l // f][l % f] = Fraction(1)
+        column = [c for row in _basis_mul(tower, x.coords, basis) for c in row]
+        for r in range(d):
+            A[r][l] = column[r]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if A[r][col])
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [a / A[col][col] for a in A[col]]
+        for r in range(d):
+            factor = A[r][col]
+            if r != col and factor:
+                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
+    return FieldElement.from_flat(tower, [A[r][d] for r in range(d)])
+
+
 @PROPERTY_SETTINGS
 @given(tower_and_elements(1))
 def test_inverse(args):
     tower, x = args
     assume(x)
     assert x * x.inverse() == tower.one()
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(1))
+def test_inverse_matches_gauss_jordan_over_q(args):
+    _, x = args
+    assume(x)
+    y, expected = x.inverse(), _inverse_reference(x)
+    assert (y.nums, y.den) == (expected.nums, expected.den)
 
 
 @PROPERTY_SETTINGS
@@ -328,6 +367,18 @@ def test_divide_over_residue_coefficients(data):
     _check_division(f, divisors)
 
 
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_power_divisions_match_division_from_scratch(data):
+    tower = data.draw(st.sampled_from(TOWERS))
+    ring = PolyRing(tower)
+    g = data.draw(polys(ring, elements(tower), 3))
+    d = data.draw(polys(ring, elements(tower), 2))
+    assume(d)
+    for m, (quot, rem) in zip(range(1, 9), _power_divisions(g, d)):
+        assert (quot, rem) == poly_divide(g ** m, d), m
+
+
 def _reference_compare(x, y):
     """The monomial order by its definition: -1, 0 or 1 as x is below,
     equal to or above y, exponents compared from the highest generator
@@ -356,6 +407,18 @@ def test_monomial_key_agrees_with_the_order(ms):
     assert sorted(ms, key=monomial_key) == sorted(
         ms, key=lambda m: [_reference_compare(m, y) for y in ms].count(1)
     )
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2, 3, 4, 5, 9]), st.integers(0, 4), st.integers(0, 40))
+def test_monomials_of_weight_match_brute_force(q, N, w):
+    ranges = [range(w // (q ** n - 1) + 1) for n in range(1, N + 1)]
+    expected = [
+        m for m in (monomial(dict(enumerate(exps, 1))) for exps in itertools.product(*ranges))
+        if monomial_weight(m, q) == w
+    ]
+    expected.sort(key=monomial_key, reverse=True)
+    assert monomials_of_weight(q, N, w) == expected
 
 
 # ---------------------------------------------------------------------------
