@@ -37,8 +37,7 @@ class LogCoefficients(ReadOnly):
         return len(self.entries)
 
     def to_json(self):
-        # Entries record N = max(N, 1), so l_0 of an N = 0 log reads N = 1.
-        N = max(len(self.entries) - 1, 1)
+        N = len(self.entries) - 1
         return {
             "tower": self.tower.to_json(),
             "uniformizer": self.tower.uniformizer_name(),

@@ -223,33 +223,17 @@ class GradedPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product on integer numerators, for both coefficient kinds.  Each
+        factor is put over one common denominator; a residue coefficient
+        enters as its omega-coordinates over 1.  Each coefficient of the
+        shorter factor builds its integer multiplication rows once, and every
+        partial product accumulates into an integer vector under a dense
+        exponent key.  Each output term is then divided by den_a * den_b * ds
+        once (for residues, reduced mod p as `residue` does) and its key
+        turned back into a monomial, in first-seen order."""
         if isinstance(other, (int, Fraction, FieldElement, ResidueElement)):
             return self.scale(other)
         self._check(other)
-        if self.ring.coefficients == "field":
-            return self._mul_field(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    s = out[m] + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-                elif c:
-                    out[m] = c
-        return GradedPoly(self.ring, out)
-
-    def _mul_field(self, other):
-        """Field-coefficient product on integer numerators.  Each factor is
-        put over one common denominator.  Each coefficient of the shorter
-        factor builds its integer multiplication rows once, and every
-        partial product accumulates into an integer vector under a dense
-        exponent key.  Each output term is then divided by den_a * den_b * ds
-        once and its key turned back into a monomial, in first-seen order."""
         T = self.ring.tower
         a_poly, b_poly = self, other
         if len(a_poly.terms) > len(b_poly.terms):
@@ -282,6 +266,8 @@ class GradedPoly:
                 FieldElement.from_numerators(T, acc, den)
             for key, acc in out.items() if any(acc)
         }
+        if self.ring.coefficients == "residue":
+            terms = {m: residue(c) for m, c in terms.items()}
         return GradedPoly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -341,8 +327,11 @@ class GradedPoly:
 
 
 def _over_common_den(poly):
-    """(den, [(monomial, numerators over den)]) for a field-coefficient
-    polynomial, den the lcm of its coefficients' denominators."""
+    """(den, [(monomial, numerators over den)]): for field coefficients, den
+    is the lcm of their denominators; residues are their omega-coordinates
+    over 1."""
+    if poly.ring.coefficients == "residue":
+        return 1, [(m, c.vec) for m, c in poly.terms.items()]
     den = math.lcm(*(c.den for c in poly.terms.values()))
     return den, [
         (m, c.nums if c.den == den else [n * (den // c.den) for n in c.nums])

@@ -22,8 +22,9 @@ multiplication rows r_l = sum_k nums_k * s_kl, with x * basis_l = r_l /
 step acc += sum_l y.nums_l * r_l (`mul_accumulate`) followed by one division
 by den_x * den_y * ds, reduced with a single gcd.  `FieldElement.__mul__`,
 `FieldElement.inverse` (which solves against the same matrix, fraction-free
-on integers) and the field-coefficient product of graded polynomials all
-use it.
+on integers) and the graded-polynomial product all use it; that product
+also runs residue coefficients through it, as omega-coordinates over 1,
+and reduces each result the way `residue` does.
 
 Valuation and integrality read the integers directly.  x is integral iff p
 does not divide den: in canonical form some numerator is prime to p
@@ -660,8 +661,7 @@ def residue(z):
         raise NotIntegral("residue of a non-integral element")
     T = z.tower
     inv = pow(z.den, -1, T.p)
-    vec = [n * inv % T.p for n in z.nums[: T.f]]
-    return ResidueElement(T, modp.fq_reduce(vec, T.gbar, T.p))
+    return ResidueElement(T, [n * inv for n in z.nums[: T.f]])
 
 
 class ResidueElement(ReadOnly):

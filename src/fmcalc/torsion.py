@@ -4,7 +4,9 @@ degreewise local cohomology at (p), and nonrealizability certificates.
 Torsion questions for a cyclic module R/J with p in J reduce to normal
 forms modulo a Groebner basis of the reduction of J over F_p, taken with
 respect to the same monomial order as everywhere else (highest generator
-index most significant).
+index most significant).  Local cohomology reads the diagonal of one Smith
+elimination; `smith_normal_form` runs the same elimination on the matrix
+bordered by identities, so U and V come out beside and below it.
 """
 
 from __future__ import annotations
@@ -276,28 +278,6 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
 # Smith normal form and degreewise local cohomology
 
 
-def _add_row(M, i1, i2, c):  # row i1 += c * row i2
-    M[i1] = [a + c * b for a, b in zip(M[i1], M[i2])]
-
-
-def _swap_rows(M, i1, i2):
-    M[i1], M[i2] = M[i2], M[i1]
-
-
-def _negate_row(M, i):
-    M[i] = [-a for a in M[i]]
-
-
-def _add_col(M, j1, j2, c):  # column j1 += c * column j2
-    for row in M:
-        row[j1] += c * row[j2]
-
-
-def _swap_cols(M, j1, j2):
-    for row in M:
-        row[j1], row[j2] = row[j2], row[j1]
-
-
 def _int_rows(A):
     rows = [list(map(int, row)) for row in A]
     if any(len(row) != len(rows[0]) for row in rows):
@@ -305,84 +285,65 @@ def _int_rows(A):
     return rows
 
 
-def _smith_eliminate(A):
-    """Bring the integer matrix A (a list of row lists, changed in place) to
-    Smith form: diagonal, nonnegative, each diagonal entry dividing the
-    next.  Returns the row operations and the column operations it applied,
-    in order, as (operation, arguments) pairs."""
-    g = len(A)
-    r = len(A[0]) if g else 0
-    row_ops, col_ops = [], []
-
-    def on_rows(op, *args):
-        op(A, *args)
-        row_ops.append((op, args))
-
-    def on_cols(op, *args):
-        op(A, *args)
-        col_ops.append((op, args))
-
+def _smith_eliminate(M, g, r):
+    """Bring the upper-left g x r block of the integer matrix M (a list of
+    row lists, changed in place) to Smith form: diagonal, nonnegative, each
+    diagonal entry dividing the next.  Pivots and tests read the block
+    alone; row operations act on whole rows of M and column operations on
+    whole columns, so any blocks beside and below it undergo them too."""
     t = 0
     while t < min(g, r):
         # find a pivot: smallest nonzero |entry| in the remaining block
         pivot = None
         for i in range(t, g):
             for j in range(t, r):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                if M[i][j] and (pivot is None or abs(M[i][j]) < abs(M[pivot[0]][pivot[1]])):
                     pivot = (i, j)
         if pivot is None:
             break
-        on_rows(_swap_rows, t, pivot[0])
-        on_cols(_swap_cols, t, pivot[1])
-        if A[t][t] < 0:
-            on_rows(_negate_row, t)
+        i, j = pivot
+        M[t], M[i] = M[i], M[t]
+        for row in M:
+            row[t], row[j] = row[j], row[t]
+        if M[t][t] < 0:
+            M[t] = [-a for a in M[t]]
         dirty = False
         for i in range(t + 1, g):
-            if A[i][t]:
-                on_rows(_add_row, i, t, -(A[i][t] // A[t][t]))
-                if A[i][t]:
-                    dirty = True
+            if M[i][t]:
+                c = M[i][t] // M[t][t]
+                M[i] = [a - c * b for a, b in zip(M[i], M[t])]
+                dirty = dirty or M[i][t] != 0
         for j in range(t + 1, r):
-            if A[t][j]:
-                on_cols(_add_col, j, t, -(A[t][j] // A[t][t]))
-                if A[t][j]:
-                    dirty = True
+            if M[t][j]:
+                c = M[t][j] // M[t][t]
+                for row in M:
+                    row[j] -= c * row[t]
+                dirty = dirty or M[t][j] != 0
         if dirty:
             continue
         # pivot divides everything in its row/column; check the block
-        bad = None
-        for i in range(t + 1, g):
-            for j in range(t + 1, r):
-                if A[i][j] % A[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next((i for i in range(t + 1, g)
+                    if any(M[i][j] % M[t][t] for j in range(t + 1, r))), None)
         if bad is not None:
             # fold the offending row into the pivot row and redo the step;
             # afterwards the pivot divides the whole remaining block, which
             # is what makes the final diagonal a divisibility chain
-            on_rows(_add_row, t, bad, 1)
+            M[t] = [a + b for a, b in zip(M[t], M[bad])]
             continue
         t += 1
-    return row_ops, col_ops
 
 
 def smith_normal_form(A):
     """U, D, V with U*A*V = D diagonal, U and V unimodular, and each
-    diagonal entry dividing the next; exact integer arithmetic.  The
-    elimination runs on A alone; U and V replay its row and column
-    operations on identity matrices."""
-    D = _int_rows(A)
-    row_ops, col_ops = _smith_eliminate(D)
-    U = [[int(i == j) for j in range(len(D))] for i in range(len(D))]
-    r = len(D[0]) if D else 0
-    V = [[int(i == j) for j in range(r)] for i in range(r)]
-    for op, args in row_ops:
-        op(U, *args)
-    for op, args in col_ops:
-        op(V, *args)
-    return U, D, V
+    diagonal entry dividing the next; exact integer arithmetic.  One
+    elimination runs on [[A, I_g], [I_r, 0]]: its row operations build U
+    beside A and its column operations build V below it."""
+    A = _int_rows(A)
+    g, r = len(A), len(A[0]) if A else 0
+    M = [row + [int(i == k) for k in range(g)] for i, row in enumerate(A)]
+    M += [[int(j == k) for k in range(r)] + [0] * g for j in range(r)]
+    _smith_eliminate(M, g, r)
+    return [row[r:] for row in M[:g]], [row[:r] for row in M[:g]], [row[:r] for row in M[g:]]
 
 
 def local_cohomology_degreewise(presentations, p):
@@ -401,8 +362,8 @@ def local_cohomology_degreewise(presentations, p):
                 if isinstance(x, float) and not x.is_integer() or int(x) != x:
                     raise NonIntegerMatrix("presentation entries must be integers")
         D = _int_rows(matrix)
-        _smith_eliminate(D)
         g = len(matrix)
+        _smith_eliminate(D, g, len(D[0]))
         diag = [D[i][i] for i in range(min(g, len(matrix[0])))]
         rank = sum(1 for x in diag if x != 0)
         # the p-part of each nonzero elementary divisor; units drop out

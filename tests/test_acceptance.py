@@ -307,11 +307,11 @@ GOLDEN = [
     (["gamma", "--p", "2", "--f", "2", "--N", "4", "--seed", "5"], 0,
      "6cd0c427723a14c87e942ee8c9e3152920f2479adf9550f764a8802f7a2c4bdc"),
     (["log", "--p", "2", "--e", "2", "--N", "0"], 0,
-     "300228ba24795bf51d0b54b6c1a134b8fb76f55eb351cbd89d86b59cab05d5af"),
+     "f634e237ff40da8cbad61077a3339d01169806ec15f49a7c2103d41977a60d93"),
     (["gamma", "--p", "2", "--e", "2", "--N", "0"], 0,
      "d088b66690d583bfd446d9277482641dcc14ed30b0d26762e9b266f8c1040dfc"),
     (["verify", "log-oracle", "--p", "2", "--e", "2", "--N", "0"], 0,
-     "0df95d3ce1100fb6bc34a288da2b0a2d91bf50e8cbbcccc241d5bd0407f64212"),
+     "c470d266d5e2c2c0dfd65371294ac132baff5e2494f3e3020cb9216a0a7af2a4"),
     (["verify", "low-degree", "--p", "2", "--e", "2", "--N", "1"], 0,
      "6b119d503c5f0516998838f08f5b91ddbbb9d1711972c4492ae435c87422097c"),
     (["obstruct", "MODULE"], 0,

@@ -18,6 +18,16 @@ def test_pincheck_matches_pins_and_reports_a_changed_digest(tmp_path):
     pc = load_pincheck()
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
     jobs = [job for name in pc.workloads.WORKLOADS for job in pc.universe(name)[:8]]
+    # The slice holds no localcoh, splitting or unramified job: add one
+    # localcoh job per matrix shape and the first of the other two.
+    rest = pc.universe("torsion-batch") + pc.universe("verify-session")
+    shapes = {}
+    for job in rest:
+        if job["kind"] == "localcoh":
+            shapes.setdefault(tuple(job["size"]["shape"]), job)
+    jobs += list(shapes.values())
+    jobs.append(next(job for job in rest if job["kind"] == "splitting"))
+    jobs.append(next(job for job in rest if job["argv"][:2] == ["verify", "unramified"]))
     assert pc.mismatches(jobs, pins, str(tmp_path)) == []
     # A pin whose digest no longer matches is reported under the job's key.
     ok_job = next(job for job in jobs if "digest" in pins[job["key"]])

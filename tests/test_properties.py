@@ -76,6 +76,14 @@ def elements(tower):
     )
 
 
+def residues(tower):
+    """Elements of F_q, drawn as an integer below q read in base p."""
+    p = tower.p
+    return st.integers(0, tower.q - 1).map(
+        lambda n: ResidueElement(tower, [n // p ** i % p for i in range(tower.f)])
+    )
+
+
 @st.composite
 def tower_and_elements(draw, count):
     tower = draw(st.sampled_from(TOWERS))
@@ -205,15 +213,19 @@ def test_inverse_matches_gauss_jordan_over_q(args):
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_graded_product_is_sum_of_coefficient_products(data):
+    # Field coefficients over one tower; residue coefficients over every
+    # tower, the f = 2 towers and the ds = 2 tower among them.
     tower = data.draw(st.sampled_from(TOWERS))
-    ring = PolyRing(tower)
-    f = data.draw(polys(ring, elements(tower), 3))
-    g = data.draw(polys(ring, elements(tower), 3))
-    expected = ring.zero()
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            expected = expected + GradedPoly(ring, {monomial_mul(m1, m2): c1 * c2})
-    assert f * g == expected
+    cases = [(PolyRing(tower), elements(tower))]
+    cases += [(PolyRing(T, "residue"), residues(T)) for T in TOWERS]
+    for ring, coeffs in cases:
+        f = data.draw(polys(ring, coeffs, 3))
+        g = data.draw(polys(ring, coeffs, 3))
+        expected = ring.zero()
+        for m1, c1 in f.terms.items():
+            for m2, c2 in g.terms.items():
+                expected = expected + GradedPoly(ring, {monomial_mul(m1, m2): c1 * c2})
+        assert f * g == expected, ring
 
 
 def _termwise_product(f, g):
@@ -528,7 +540,7 @@ def test_smith_normal_form(A):
         assert b == 0 if a == 0 else b % a == 0
     # local cohomology reads the same diagonal from its own elimination
     E = [row[:] for row in A]
-    ts._smith_eliminate(E)
+    ts._smith_eliminate(E, g, r)
     assert E == D
     rank = sum(1 for x in diag if x)
     assert ts.local_cohomology_degreewise({0: A}, 2)["degrees"]["0"]["H1_corank"] == g - rank

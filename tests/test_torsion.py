@@ -577,6 +577,30 @@ class TestObstruction:
         v1 = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
         assert ts.normal_form(lhs - v1 * y, gb).is_zero()
 
+    # Known false certificates, kept until the Groebner core is sound and
+    # torsion is decided exactly.  Each must fail as long as the defect
+    # stands, so a fix shows as an unexpected pass.
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="inter-reduction erases generators with equal "
+                       "leading monomials: a false R1")
+    def test_redundant_generator_keeps_the_verdict(self):
+        v1_cubed_minus_v2 = {"terms": [{"exps": {"1": 3}, "coeff": "1"},
+                                       {"exps": {"2": 1}, "coeff": "-1"}]}
+        gens = [v1_cubed_minus_v2, v_power(None, 1, 2)]
+        plain = ts.realizability_obstruction(make_module(2, 3, gens))
+        redundant = ts.realizability_obstruction(
+            make_module(2, 3, gens + [v_power(None, 1, 2, -1)]))
+        assert (redundant.verdict, redundant.rules_fired) == (plain.verdict, plain.rules_fired)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="R1 reads 'not v_1-torsion' from a scan bounded "
+                       "by k_max, and v_1^21 = 0")
+    def test_torsion_past_k_max_does_not_fire_r1(self):
+        m = make_module(2, 2, [v_power(None, 1, 21), V2_MINUS_V1_CUBED],
+                        finitely_presented=False)
+        assert "R1" not in ts.realizability_obstruction(m, k_max=20).rules_fired
+
 
 UNRAM2_F2 = {"tower": make_tower(2, [1, 1, 1], [0, 1], "unram f=2 over Q2").to_json()}
 Q2_SQRT2 = {"tower": make_tower(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)").to_json()}
