@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from .gradedpoly import PolyRing
+from .gradedpoly import GradedPoly, PolyRing, monomial
 from .numberring import ReadOnly, make_tower
 
 
@@ -55,7 +55,7 @@ def log_entries(tower, N):
     entries = log_entries(tower, N - 1)
     acc = ring.zero()
     for i in range(N):
-        acc = acc + entries[i] * ring.gen(N - i) ** (tower.q ** i)
+        acc = acc + entries[i].shift(((N - i, tower.q ** i),))
     return entries + (acc.scale(tower.uniformizer_inverse),)
 
 
@@ -80,7 +80,9 @@ def _compositions(h):
 def log_closed_form(tower, N):
     """Log coefficients by the composition sum: l_h is the sum over ordered
     compositions (i_1, ..., i_r) of h of
-    pi^{-r} * v_{i_1} * v_{i_2}^{q^{i_1}} * ... * v_{i_r}^{q^{i_1+...+i_{r-1}}}."""
+    pi^{-r} * v_{i_1} * v_{i_2}^{q^{i_1}} * ... * v_{i_r}^{q^{i_1+...+i_{r-1}}}.
+    Each exponent is a sum of distinct powers of q, whose base-q digits
+    give back the composition, so every composition is its own term."""
     ring = PolyRing(tower)
     pi_inv = tower.uniformizer_inverse
     pi_inv_pow = [tower.one()]  # pi^{-r} at index r, one per composition length
@@ -89,15 +91,14 @@ def log_closed_form(tower, N):
     q = tower.q
     entries = [ring.one()]
     for h in range(1, N + 1):
-        acc = ring.zero()
+        terms = {}
         for comp in _compositions(h):
-            term = ring.one()
-            partial = 0
+            exps, partial = [], 0
             for part in comp:
-                term = term * ring.gen(part) ** (q ** partial)
+                exps.append((part, q ** partial))
                 partial += part
-            acc = acc + term.scale(pi_inv_pow[len(comp)])
-        entries.append(acc)
+            terms[monomial(exps)] = pi_inv_pow[len(comp)]
+        entries.append(GradedPoly(ring, terms))
     return LogCoefficients(ring, tuple(entries))
 
 

@@ -174,12 +174,11 @@ def check_unramified_formula(table):
 
 def gamma_sharp_matrix(table, weight):
     """Matrix of gamma in one weight, bases sorted descending in the
-    monomial order, with triangularity/diagonal diagnostics."""
-    ring_B = table.target_ring
-    basis = monomials_of_weight(ring_B.q, table.N, weight)
-    size = len(basis)
+    monomial order, with triangularity/diagonal diagnostics.  The matrix
+    is sparse: {(row, col): coeff} over its nonzero entries."""
+    basis = monomials_of_weight(table.target_ring.q, table.N, weight)
     index = {m: i for i, m in enumerate(basis)}
-    matrix = [[ring_B.tower.zero() for _ in range(size)] for _ in range(size)]
+    matrix = {}
     for col, m in enumerate(basis):
         img = table.monomial_image(m)
         for mono, coeff in img.terms.items():
@@ -188,19 +187,15 @@ def gamma_sharp_matrix(table, weight):
                 raise CongruenceFailed(
                     "image leaves the expected graded piece", lhs=img.to_json(table.N), rhs=None
                 )
-            matrix[row][col] = coeff
-    triangular = all(
-        matrix[r][cidx].is_zero()
-        for cidx in range(size)
-        for r in range(cidx)
-    )
-    diagonal = [matrix[i][i] for i in range(size)]
-    diag_vals = [valuation(dv) if dv else None for dv in diagonal]
+            matrix[row, col] = coeff
+    triangular = all(row >= col for row, col in matrix)
+    diag_vals = [valuation(matrix[i, i]) if (i, i) in matrix else None
+                 for i in range(len(basis))]
     injective = triangular and all(dv is not None for dv in diag_vals)
     return {
         "weight": weight,
         "basis": [{str(n): a for n, a in m} for m in basis],
-        "matrix": [[c.to_json() for c in row] for row in matrix],
+        "matrix": matrix,
         "triangular": triangular,
         "diagonal_valuations": diag_vals,
         "injective": injective,

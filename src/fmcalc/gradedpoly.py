@@ -148,9 +148,11 @@ class PolyRing:
 
 
 class GradedPoly:
-    """Sparse polynomial: map from monomial to nonzero coefficient."""
+    """Sparse polynomial: map from monomial to nonzero coefficient.  A
+    polynomial is not changed after it is built, so its leading term is
+    taken once (see leading_term)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         clean = {}
@@ -160,6 +162,7 @@ class GradedPoly:
                 clean[m] = c
         self.ring = ring
         self.terms = clean
+        self._lead = None
 
     # -- structure ---------------------------------------------------------
 
@@ -272,6 +275,13 @@ class GradedPoly:
 
     __rmul__ = __mul__
 
+    def shift(self, m, c=None):
+        """c * m * self term by term: exponents add, and each coefficient is
+        multiplied by c (left as it is when c is None)."""
+        if c is None:
+            return GradedPoly(self.ring, {monomial_mul(t, m): a for t, a in self.terms.items()})
+        return GradedPoly(self.ring, {monomial_mul(t, m): a * c for t, a in self.terms.items()})
+
     def scale(self, c):
         if isinstance(c, int):
             c = self.ring.coeff_from_int(c)
@@ -346,8 +356,11 @@ def leading_monomial(f):
 
 
 def leading_term(f):
-    m = leading_monomial(f)
-    return m, f.terms[m]
+    """(lm, lc, 1/lc) of f, taken on the first call and kept on f."""
+    if f._lead is None:
+        m = leading_monomial(f)
+        f._lead = (m, f.terms[m], f.terms[m].inverse())
+    return f._lead
 
 
 def divide(f, divisors):
@@ -361,7 +374,6 @@ def divide(f, divisors):
     yields the leading one, skipping monomials that have since cancelled."""
     ring = f.ring
     leads = [leading_term(d) for d in divisors]
-    lc_invs = [None] * len(divisors)  # taken on a divisor's first hit
     quots = [{} for _ in divisors]
     rem = {}
     work = dict(f.terms)
@@ -372,14 +384,12 @@ def divide(f, divisors):
         c = work.get(m)
         if c is None:
             continue
-        for i, (lm, lc) in enumerate(leads):
+        for i, (lm, _, lc_inv) in enumerate(leads):
             ratio = monomial_divide(m, lm)
             if ratio is not None:
-                if lc_invs[i] is None:
-                    lc_invs[i] = lc.inverse()
-                q = quots[i][ratio] = c * lc_invs[i]
+                q = quots[i][ratio] = c * lc_inv
                 # Subtracting q * ratio * d_i cancels the term at m.
-                for t, s in (GradedPoly(ring, {ratio: q}) * divisors[i]).terms.items():
+                for t, s in divisors[i].shift(ratio, q).terms.items():
                     old = work.get(t)
                     if old is None:
                         work[t] = -s

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
 from .gradedpoly import (
+    ONE_MONOMIAL,
     GradedPoly,
     PolyRing,
     divide,
@@ -140,8 +141,7 @@ class GroebnerBasis:
 
 
 def _monic(f):
-    _, lc = leading_term(f)
-    return f * lc.inverse()
+    return f.shift(ONE_MONOMIAL, leading_term(f)[2])
 
 
 def normal_form(f, gb):
@@ -168,17 +168,14 @@ def groebner_basis(gens, degree_bound):
     while pairs:
         i, j = pairs.pop()
         fi, fj = basis[i], basis[j]
-        mi, _ = leading_term(fi)
-        mj, _ = leading_term(fj)
+        mi, mj = leading_term(fi)[0], leading_term(fj)[0]
         lcm = monomial_lcm(mi, mj)
         if monomial_mul(mi, mj) == lcm:
             continue  # coprime leading monomials: S-poly reduces to zero
         if monomial_weight(lcm, ring.q) > degree_bound:
             truncated = True
             continue
-        si = GradedPoly(ring, {monomial_divide(lcm, mi): ring.coeff_one()}) * fi
-        sj = GradedPoly(ring, {monomial_divide(lcm, mj): ring.coeff_one()}) * fj
-        s = si - sj
+        s = fi.shift(monomial_divide(lcm, mi)) - fj.shift(monomial_divide(lcm, mj))
         rem = divide(s, basis)[1]
         if not rem.is_zero():
             rem = _monic(rem)
@@ -230,10 +227,7 @@ def _power_normal_forms(gb, ring, n):
     exponent, so no coefficient is multiplied."""
     nf = ring.one()
     while True:
-        nf = normal_form(
-            GradedPoly(ring, {monomial_mul(m, ((n, 1),)): c for m, c in nf.terms.items()}),
-            gb,
-        )
+        nf = normal_form(nf.shift(((n, 1),)), gb)
         yield nf
 
 

@@ -124,7 +124,7 @@ class TestGammaSharp:
     def test_weight_zero(self, q2, q2_sqrt2):
         table = gm.compute_gamma(q2, q2_sqrt2, 2)
         rep = gm.gamma_sharp_matrix(table, 0)
-        assert rep["matrix"] == [[q2_sqrt2.one().to_json()]]
+        assert rep["matrix"] == {(0, 0): q2_sqrt2.one()}
 
     def test_weight_q_minus_1(self, q2, q2_sqrt2):
         table = gm.compute_gamma(q2, q2_sqrt2, 2)

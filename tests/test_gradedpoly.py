@@ -6,6 +6,7 @@ import pytest
 
 from fmcalc import gradedpoly as gp
 from fmcalc.errors import RingMismatch, TowerMismatch, ZeroPolynomial
+from fmcalc.formal import log_closed_form
 from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
@@ -108,6 +109,25 @@ class TestArithmetic:
     def test_scale_by_foreign_scalar(self, ring, q3_sqrt3):
         with pytest.raises(TowerMismatch):
             ring.gen(1).scale(q3_sqrt3.theta())
+
+    def test_single_monomial_products_skip_the_kernel(self, ring, q2_sqrt2, monkeypatch):
+        # The closed-form log and a division step multiply by one monomial
+        # only, so neither reaches the graded-product kernel.
+        v1, v2 = ring.gen(1), ring.gen(2)
+        f = (v1 + v2.scale(3)) ** 3
+        d = v2 + v1 ** 3
+        calls = []
+        kernel = GradedPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return kernel(self, other)
+
+        monkeypatch.setattr(GradedPoly, "__mul__", counted)
+        log_closed_form(q2_sqrt2, 5)
+        quots, rem = gp.divide(f, [d])
+        assert calls == []
+        assert kernel(quots[0], d) + rem == f and quots[0]
 
     def test_multiplication_commutes_and_associates(self, ring, q2_sqrt2):
         rng = random.Random(3)

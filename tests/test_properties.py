@@ -1,11 +1,11 @@
 """Property tests of the exact-arithmetic layer: the integer-numerator
 representation, the multiplication kernel against the polynomial-reduction
 reference, inverses against Gauss-Jordan elimination over Q, the
-closed-form valuation, graded products, gamma as a ring map and its
-memoized monomial images, multivariate division, the remainders of
-successive powers and the monomial order, the monomials of one weight,
-normal forms modulo Groebner bases over F_p, Smith normal form, and logs
-and gamma images that do not depend on N."""
+closed-form valuation, graded products and single-monomial shifts, gamma
+as a ring map and its memoized monomial images, multivariate division,
+the remainders of successive powers and the monomial order, the monomials
+of one weight, normal forms modulo Groebner bases over F_p, Smith normal
+form, and logs and gamma images that do not depend on N."""
 
 import itertools
 import math
@@ -259,6 +259,20 @@ def test_graded_product_with_skipped_generators():
         assert monomial({1: 1, 2: 1, 5: 4}) in expected
         assert list(product.terms) == list(expected)
         assert product.terms == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_shift_is_the_product_with_one_term(data):
+    # The kernel is the oracle of shift, for field and residue coefficients
+    # over every tower; c may be drawn as 0.
+    for T in TOWERS:
+        for ring, coeffs in ((PolyRing(T), elements(T)), (PolyRing(T, "residue"), residues(T))):
+            f = data.draw(polys(ring, coeffs, 3))
+            m = data.draw(monomials)
+            c = data.draw(coeffs)
+            assert f.shift(m, c) == f * GradedPoly(ring, {m: c}), ring
+            assert f.shift(m) == f * GradedPoly(ring, {m: ring.coeff_one()}), ring
 
 
 # gamma tables at N = 3: from Q_p into every tower, and from the unramified

@@ -22,3 +22,7 @@ def test_workcount_reports_call_counts(tmp_path):
     # One hazewinkel_log per job, each taking pi^-1 once.
     inverse_rows = wc.named_counts(stats, ["numberring.inverse"])
     assert sum(calls for _, _, calls in inverse_rows) == 3
+    # The default report counts graded products.
+    product_rows = [row for row in wc.named_counts(stats, wc.DEFAULT_NAMES)
+                    if row[0] == "gradedpoly.__mul__"]
+    assert product_rows and all(calls > 0 for _, _, calls in product_rows)

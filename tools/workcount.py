@@ -8,7 +8,8 @@ cProfile; the jobs' output is discarded.  It then prints the total number
 of function calls and the call count of every function named by a NAME, written module.function: for example fractions._mul or
 numberring.inverse.  Each function of that name in that module gets its own
 line, keyed by its first line number.  Without NAMEs it reports the
-`fractions.Fraction` arithmetic and `numberring` inverses.
+`fractions.Fraction` arithmetic, `numberring` inverses and graded products
+(`GradedPoly.__mul__`).
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
 the log_entries and gamma_images caches are cleared between jobs here.
@@ -35,7 +36,7 @@ from fmcalc import formal, gamma  # noqa: E402
 from fmcalc.cli import main as fmcalc_main  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
-                 "numberring.inverse"]
+                 "numberring.inverse", "gradedpoly.__mul__"]
 
 
 def profile_jobs(job_argvs, fresh_caches):
