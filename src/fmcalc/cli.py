@@ -23,7 +23,6 @@ from .numberring import (
     find_nonsplit_prime,
     is_integer,
     is_prime,
-    make_tower,
     parse_integer,
 )
 from .report import emit
@@ -128,10 +127,10 @@ def resolve_tower(settings):
     if settings.get("eis"):
         h = settings["eis"]
     elif e > 1:
-        h = [Fraction(-p)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
+        h = [-p] + [0] * (e - 1) + [1]
     else:
-        h = [Fraction(0), Fraction(1)]
-    return make_tower(p, g, h)
+        h = [0, 1]
+    return TowerDescriptor(p, g, h)
 
 
 def _with_common(report, settings, tower=None):

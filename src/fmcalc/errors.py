@@ -59,12 +59,7 @@ class IntegralityFailure(FmcalcError):
 
 
 class CongruenceFailed(FmcalcError):
-    """Carries both reduced sides of a failed congruence check."""
-
-    def __init__(self, message, lhs=None, rhs=None):
-        super().__init__(message)
-        self.lhs = lhs
-        self.rhs = rhs
+    pass
 
 
 class NonIntegerMatrix(FmcalcError):

@@ -14,17 +14,13 @@ from __future__ import annotations
 import functools
 
 from .gradedpoly import GradedPoly, PolyRing, monomial
-from .numberring import ReadOnly, make_tower
+from .numberring import ReadOnly, TowerDescriptor
 
 
 class LogCoefficients(ReadOnly):
     """Entries l_0..l_N over one tower."""
 
     __slots__ = ("ring", "entries")
-
-    def __init__(self, ring, entries):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", entries)
 
     @property
     def tower(self):
@@ -105,4 +101,4 @@ def log_closed_form(tower, N):
 @functools.lru_cache(maxsize=None)
 def trivial_tower(p):
     """The base tower with e = f = 1 (coefficients in Q, uniformizer p)."""
-    return make_tower(p, [0, 1], [0, 1], "Q_%d" % p)
+    return TowerDescriptor(p, [0, 1], [0, 1], "Q_%d" % p)

@@ -47,14 +47,9 @@ class GammaTable(ReadOnly):
     integrality_verified = True
 
     def __init__(self, source, target, N, images, monomials):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "images", images)  # index 0 unused
-        object.__setattr__(self, "f_rel", target.f // source.f)
-        object.__setattr__(self, "e_rel", target.e // source.e)
-        object.__setattr__(self, "target_ring", PolyRing(target))
-        object.__setattr__(self, "monomials", monomials)
+        # images[0] is unused
+        super().__init__(source, target, N, images, target.f // source.f,
+                         target.e // source.e, PolyRing(target), monomials)
 
     def _key(self):
         return (self.source, self.target, self.N, self.images)
@@ -184,9 +179,7 @@ def gamma_sharp_matrix(table, weight):
         for mono, coeff in img.terms.items():
             row = index.get(mono)
             if row is None:
-                raise CongruenceFailed(
-                    "image leaves the expected graded piece", lhs=img.to_json(table.N), rhs=None
-                )
+                raise CongruenceFailed("image leaves the expected graded piece")
             matrix[row, col] = coeff
     triangular = all(row >= col for row, col in matrix)
     diag_vals = [valuation(matrix[i, i]) if (i, i) in matrix else None
@@ -220,26 +213,18 @@ def kappa_congruence(table, j):
     )
     rhs_ring = table.target_ring.residue_ring()
     rhs = GradedPoly(rhs_ring, {monomial({j: exponent}): residue(coeff)})
-    N = table.N
     if lhs != rhs:
-        raise CongruenceFailed(
-            "kappa congruence failed at j=%d" % j, lhs=lhs.to_json(N), rhs=rhs.to_json(N)
-        )
+        raise CongruenceFailed("kappa congruence failed at j=%d" % j)
     for smaller in range(1, h):
-        red = reduce_mod_ideal(table.image(smaller), j)
-        if not red.is_zero():
-            raise CongruenceFailed(
-                "gamma(v_%d) nonzero mod the ideal below h = jn" % smaller,
-                lhs=red.to_json(N),
-                rhs=None,
-            )
+        if not reduce_mod_ideal(table.image(smaller), j).is_zero():
+            raise CongruenceFailed("gamma(v_%d) nonzero mod the ideal below h = jn" % smaller)
     return {
         "j": j,
         "n": n,
         "h": h,
         "exponent": exponent,
-        "lhs": lhs.to_json(N),
-        "rhs": rhs.to_json(N),
+        "lhs": lhs.to_json(table.N),
+        "rhs": rhs.to_json(table.N),
         "minimality_checked_below_h": list(range(1, h)),
         "passed": True,
     }

@@ -155,13 +155,8 @@ class GradedPoly:
     __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
-        clean = {}
-        for m, c in terms.items():
-            m = monomial(m) if not isinstance(m, tuple) else m
-            if c:
-                clean[m] = c
         self.ring = ring
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items() if c}
         self._lead = None
 
     # -- structure ---------------------------------------------------------

@@ -62,10 +62,14 @@ _ZERO = Fraction(0)
 
 class ReadOnly:
     """Base of the package's immutable records.  A subclass lists its
-    fields in __slots__ and sets each once, in __init__, through
-    object.__setattr__; any later assignment raises AttributeError."""
+    fields in __slots__; the record is built from one value per field, in
+    that order, and any later assignment raises AttributeError."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is read-only" % type(self).__name__)
@@ -156,13 +160,6 @@ def _fraction_mod_p(r, p):
 # Polynomials over Q and over the unramified subring Q[omega]/(g)
 
 
-def _qpoly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def _qpoly_mul(a, b):
     if not a or not b:
         return ()
@@ -170,7 +167,7 @@ def _qpoly_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _qpoly_trim(out)
+    return modp.trim(out)
 
 
 def _qpoly_rem_monic(f, g):
@@ -181,7 +178,7 @@ def _qpoly_rem_monic(f, g):
         if c:
             for j in range(len(g)):
                 f[k + j] -= c * g[j]
-    return _qpoly_trim(f)
+    return modp.trim(f)
 
 
 def _upoly_pad(vec, f):
@@ -189,7 +186,12 @@ def _upoly_pad(vec, f):
 
 
 class TowerDescriptor:
-    """Immutable description of a tower Q_p < Q_p(omega) < Q_p(omega, theta)."""
+    """Immutable description of a tower Q_p < Q_p(omega) < Q_p(omega, theta).
+
+    `unram_poly` lists the integer coefficients of g, constant first.  Each
+    coefficient of `eis_poly`, constant first, is either a row of rationals
+    in powers of omega (constant first) or a plain number, which stands for
+    the row holding just that number."""
 
     def __init__(self, p, unram_poly, eis_poly, label=""):
         if not is_prime(p):
@@ -201,7 +203,8 @@ class TowerDescriptor:
         gbar = modp.make(g, p)
         if modp.deg(gbar) != f or not modp.is_irreducible(gbar, p):
             raise NotIrreducibleModP("polynomial is not irreducible modulo %d" % p)
-        h = tuple(_upoly_pad(tuple(Fraction(c) for c in coeff), f) for coeff in eis_poly)
+        rows = (c if isinstance(c, (list, tuple)) else (c,) for c in eis_poly)
+        h = tuple(_upoly_pad(tuple(Fraction(c) for c in row), f) for row in rows)
         if len(h) < 2 or h[-1] != _upoly_pad((Fraction(1),), f):
             raise NotEisenstein("Eisenstein polynomial must be monic of degree >= 1")
         e = len(h) - 1
@@ -350,24 +353,6 @@ class TowerDescriptor:
         return hash((self.p, self.unram_poly, self.eis_poly))
 
 
-def make_tower(p, unram_poly, eis_poly, label=""):
-    """Build and validate a TowerDescriptor.
-
-    `unram_poly` is a list of integer coefficients (constant first) and
-    `eis_poly` a list of coefficients over the unramified subring, each
-    itself a rational-coefficient list (constant first) in powers of omega.
-    Plain numbers are accepted for eis_poly entries over a trivial
-    unramified step.
-    """
-    eis = []
-    for coeff in eis_poly:
-        if isinstance(coeff, (list, tuple)):
-            eis.append(tuple(Fraction(c) for c in coeff))
-        else:
-            eis.append((Fraction(coeff),))
-    return TowerDescriptor(p, unram_poly, eis, label)
-
-
 def _basis_mul(T, ca, cb):
     """Multiply two coordinate arrays by polynomial reduction: as
     polynomials in theta over Q[omega]/(g), then theta-degree reduction via
@@ -376,11 +361,11 @@ def _basis_mul(T, ca, cb):
     e = T.e
     prod = [()] * (2 * e - 1)
     for j1, row1 in enumerate(ca):
-        a = _qpoly_trim(row1)
+        a = modp.trim(row1)
         if not a:
             continue
         for j2, row2 in enumerate(cb):
-            b = _qpoly_trim(row2)
+            b = modp.trim(row2)
             if not b:
                 continue
             ab = _qpoly_rem_monic(_qpoly_mul(a, b), T._gq)
@@ -388,17 +373,17 @@ def _basis_mul(T, ca, cb):
             n = max(len(cur), len(ab))
             cur = _upoly_pad(cur, n)
             ab = _upoly_pad(ab, n)
-            prod[j1 + j2] = _qpoly_trim(x + y for x, y in zip(cur, ab))
+            prod[j1 + j2] = modp.trim(x + y for x, y in zip(cur, ab))
     prod = [list(_upoly_pad(c, T.f)) for c in prod]
     for k in range(2 * e - 2, e - 1, -1):
         top = prod[k]
         if all(c == 0 for c in top):
             continue
         for j in range(e):
-            hj = _qpoly_trim(T.eis_poly[j])
+            hj = modp.trim(T.eis_poly[j])
             if not hj:
                 continue
-            corr = _qpoly_rem_monic(_qpoly_mul(_qpoly_trim(top), hj), T._gq)
+            corr = _qpoly_rem_monic(_qpoly_mul(modp.trim(top), hj), T._gq)
             corr = _upoly_pad(corr, T.f)
             tgt = prod[k - e + j]
             for i in range(T.f):
@@ -754,13 +739,6 @@ class SplittingReport(ReadOnly):
     """How a global polynomial factors modulo one prime."""
 
     __slots__ = ("prime", "factor_degrees", "ramified", "splits_completely", "equal_degrees")
-
-    def __init__(self, prime, factor_degrees, ramified, splits_completely, equal_degrees):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "factor_degrees", factor_degrees)
-        object.__setattr__(self, "ramified", ramified)
-        object.__setattr__(self, "splits_completely", splits_completely)
-        object.__setattr__(self, "equal_degrees", equal_degrees)
 
     def to_json(self):
         return {

@@ -43,14 +43,6 @@ class CyclicModulePresentation(ReadOnly):
 
     __slots__ = ("p", "N", "gens", "finitely_presented", "context", "contains_p")
 
-    def __init__(self, p, N, gens, finitely_presented, context, contains_p):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "finitely_presented", finitely_presented)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "contains_p", contains_p)
-
     @property
     def ring(self):
         return PolyRing(trivial_tower(self.p))
@@ -90,15 +82,9 @@ class CyclicModulePresentation(ReadOnly):
             raise ConfigParseError(
                 "module spec: context tower has p = %d, not %d" % (context.p, p)
             )
-        contains_p = _detect_p_power(gens, p)
-        return CyclicModulePresentation(
-            p=p,
-            N=N,
-            gens=gens,
-            finitely_presented=bool(obj.get("finitely_presented", True)),
-            context=context,
-            contains_p=contains_p,
-        )
+        finitely_presented = bool(obj.get("finitely_presented", True))
+        return CyclicModulePresentation(p, N, gens, finitely_presented, context,
+                                        _detect_p_power(gens, p))
 
     def to_json(self):
         ctx = (
@@ -287,15 +273,17 @@ def _smith_eliminate(M, g, r):
     whole columns, so any blocks beside and below it undergo them too."""
     t = 0
     while t < min(g, r):
-        # find a pivot: smallest nonzero |entry| in the remaining block
+        # find a pivot: smallest nonzero |entry| in the remaining block, the
+        # first in row-major order among equals; the pivot keeps its |entry|
         pivot = None
         for i in range(t, g):
             for j in range(t, r):
-                if M[i][j] and (pivot is None or abs(M[i][j]) < abs(M[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = M[i][j]
+                if x and (pivot is None or abs(x) < pivot[0]):
+                    pivot = (abs(x), i, j)
         if pivot is None:
             break
-        i, j = pivot
+        _, i, j = pivot
         M[t], M[i] = M[i], M[t]
         for row in M:
             row[t], row[j] = row[j], row[t]

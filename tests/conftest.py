@@ -1,7 +1,7 @@
 import pytest
 
 from fmcalc.formal import trivial_tower
-from fmcalc.numberring import make_tower
+from fmcalc.numberring import TowerDescriptor
 
 _ACCEPTANCE_RESULTS = []
 
@@ -36,34 +36,34 @@ def q5():
 
 @pytest.fixture(scope="session")
 def q2_sqrt2():
-    return make_tower(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)")
+    return TowerDescriptor(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)")
 
 
 @pytest.fixture(scope="session")
 def q2_cbrt2():
-    return make_tower(2, [0, 1], [-2, 0, 0, 1], "Q2(x^3-2)")
+    return TowerDescriptor(2, [0, 1], [-2, 0, 0, 1], "Q2(x^3-2)")
 
 
 @pytest.fixture(scope="session")
 def q3_sqrt3():
-    return make_tower(3, [0, 1], [-3, 0, 1], "Q3(sqrt3)")
+    return TowerDescriptor(3, [0, 1], [-3, 0, 1], "Q3(sqrt3)")
 
 
 @pytest.fixture(scope="session")
 def q3_cbrt3():
-    return make_tower(3, [0, 1], [-3, 0, 0, 1], "Q3(x^3-3)")
+    return TowerDescriptor(3, [0, 1], [-3, 0, 0, 1], "Q3(x^3-3)")
 
 
 @pytest.fixture(scope="session")
 def unram2_f2():
-    return make_tower(2, [1, 1, 1], [0, 1], "unram f=2 over Q2")
+    return TowerDescriptor(2, [1, 1, 1], [0, 1], "unram f=2 over Q2")
 
 
 @pytest.fixture(scope="session")
 def unram3_f2():
-    return make_tower(3, [1, 0, 1], [0, 1], "unram f=2 over Q3")
+    return TowerDescriptor(3, [1, 0, 1], [0, 1], "unram f=2 over Q3")
 
 
 @pytest.fixture(scope="session")
 def unram2_f3():
-    return make_tower(2, [1, 1, 0, 1], [0, 1], "unram f=3 over Q2")
+    return TowerDescriptor(2, [1, 1, 0, 1], [0, 1], "unram f=3 over Q2")

@@ -16,7 +16,7 @@ from fmcalc import torsion as ts
 from fmcalc.cli import main
 from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
 from fmcalc.gradedpoly import GradedPoly, PolyRing, graded_basis, leading_monomial, monomial
-from fmcalc.numberring import analyze_prime, embed, find_nonsplit_prime, make_tower
+from fmcalc.numberring import analyze_prime, embed, find_nonsplit_prime, TowerDescriptor
 from fmcalc.report import canonical_json
 
 
@@ -54,7 +54,7 @@ def test_criterion_02_unramified_gamma(q2, q3, unram2_f2, unram3_f2, unram2_f3):
 def test_criterion_03_totally_ramified_low_degree():
     for p in (2, 3, 5):
         for e in (2, 3):
-            tower = make_tower(p, [0, 1], [-p] + [0] * (e - 1) + [1])
+            tower = TowerDescriptor(p, [0, 1], [-p] + [0] * (e - 1) + [1])
             source = trivial_tower(p)
             table = gm.compute_gamma(source, tower, 2)
             ring = table.target_ring
@@ -67,7 +67,7 @@ def test_criterion_03_totally_ramified_low_degree():
             )
             assert table.image(2) == expected2
     # derived specialization at (p=2, e=2): gamma(v_2) = theta v_2 + (1-theta) v_1^3
-    tower = make_tower(2, [0, 1], [-2, 0, 1])
+    tower = TowerDescriptor(2, [0, 1], [-2, 0, 1])
     table = gm.compute_gamma(trivial_tower(2), tower, 2)
     ring = table.target_ring
     th = tower.theta()
@@ -100,7 +100,7 @@ def test_criterion_05_rational_isomorphism(q2, q3, q2_sqrt2, q3_sqrt3):
 def test_criterion_06_kappa_congruence():
     for p in (2, 3):
         for e, js in ((2, (1, 2)), (3, (1,))):
-            tower = make_tower(p, [0, 1], [-p] + [0] * (e - 1) + [1])
+            tower = TowerDescriptor(p, [0, 1], [-p] + [0] * (e - 1) + [1])
             table = gm.compute_gamma(trivial_tower(p), tower, 6)
             for j in js:
                 rep = gm.kappa_congruence(table, j)

@@ -8,7 +8,7 @@ import pytest
 
 from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
-from fmcalc.numberring import make_tower
+from fmcalc.numberring import TowerDescriptor
 
 
 def run(capsys, *argv):
@@ -54,7 +54,7 @@ BAD_MODULES = {
     "composite-p": _module(p=4, ideal=[_ideal_term({}, "4")]),
     "negative-N": _module(N=-1, ideal=[_ideal_term({}, "2")]),
     "generator-v0": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"0": 1})]),
-    "context-p": _module(context={"tower": make_tower(3, [0, 1], [-3, 0, 1]).to_json()}),
+    "context-p": _module(context={"tower": TowerDescriptor(3, [0, 1], [-3, 0, 1]).to_json()}),
     "non-homogeneous": _module(ideal=[
         _ideal_term({}, "2"),
         {"terms": [{"exps": {"1": 1}, "coeff": "1"}, {"exps": {"2": 1}, "coeff": "1"}]},

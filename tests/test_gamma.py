@@ -83,8 +83,8 @@ class TestComputeGamma:
     def test_table_reports_the_towers_it_was_asked_for(self, q2):
         # Tower equality ignores labels, so two labels of one tower share
         # the cached images and memo, but each table names its own towers.
-        first = nr.make_tower(2, [0, 1], [-2, 0, 1], "first")
-        second = nr.make_tower(2, [0, 1], [-2, 0, 1], "second")
+        first = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1], "first")
+        second = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1], "second")
         a = gm.compute_gamma(q2, first, 2)
         b = gm.compute_gamma(q2, second, 2)
         assert a == b and hash(a) == hash(b) and a.monomials is b.monomials

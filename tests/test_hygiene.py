@@ -1,9 +1,10 @@
 """Static hygiene of the package source, checked with `ast`: no unused
 imports, no exception class in errors.py that nothing else names, and no
 function or method that nothing in the source, tests, benchmark or tools
-names."""
+names.  Also, every function perfbench/tracer.py wraps by name exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -92,3 +93,22 @@ def test_every_function_and_method_is_named():
             named |= _named(_parse(path), strings=tree_dir == "perfbench")
     unnamed = [where for where, name in defined if name not in named]
     assert not unnamed, "functions and methods nothing names: %s" % ", ".join(unnamed)
+
+
+def test_every_tracer_target_resolves():
+    """perfbench/tracer.py wraps each (module, attribute or Class.method) of
+    its TARGETS by name when a traced run starts, and a method only where
+    its class defines it; a target that no longer exists would crash every
+    traced run.  The list is read without installing the tracer."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _ in tracer.TARGETS:
+        namespace = vars(importlib.import_module("fmcalc." + modname))
+        for part in attr.split("."):
+            value = namespace.get(part)
+            namespace = vars(value) if isinstance(value, type) else {}
+        if not callable(value):
+            missing.append("%s.%s" % (modname, attr))
+    assert not missing, "tracer targets that fmcalc does not define: %s" % ", ".join(missing)

@@ -17,6 +17,10 @@ from fmcalc.errors import (
     NotSubtower,
     TowerMismatch,
 )
+from fmcalc.formal import LogCoefficients
+from fmcalc.gamma import GammaTable
+from fmcalc.gradedpoly import PolyRing
+from fmcalc.torsion import CyclicModulePresentation
 
 
 def random_element(tower, rng, denom_bound=1):
@@ -32,41 +36,90 @@ def random_element(tower, rng, denom_bound=1):
 
 class TestMakeTower:
     def test_canonical_ramified_quadratic(self):
-        t = nr.make_tower(2, [0, 1], [-2, 0, 1])
+        t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         assert (t.e, t.f, t.q, t.d) == (2, 1, 2, 2)
 
     def test_canonical_unramified_quadratic(self):
-        t = nr.make_tower(2, [1, 1, 1], [0, 1])
+        t = nr.TowerDescriptor(2, [1, 1, 1], [0, 1])
         assert (t.e, t.f, t.q, t.d) == (1, 2, 4, 2)
 
     def test_x2_plus_2_is_irreducible_mod_5(self):
         # squares mod 5 are {0, 1, 4}, so -2 = 3 is not a square
-        t = nr.make_tower(5, [2, 0, 1], [0, 1])
+        t = nr.TowerDescriptor(5, [2, 0, 1], [0, 1])
         assert t.q == 25
 
     def test_reducible_polynomial_rejected(self):
         with pytest.raises(NotIrreducibleModP):
-            nr.make_tower(5, [1, 0, 1], [0, 1])  # x^2+1 = (x-2)(x+2) mod 5
+            nr.TowerDescriptor(5, [1, 0, 1], [0, 1])  # x^2+1 = (x-2)(x+2) mod 5
 
     def test_non_eisenstein_rejected(self):
         with pytest.raises(NotEisenstein):
-            nr.make_tower(2, [0, 1], [-4, 0, 1])  # constant term divisible by p^2
+            nr.TowerDescriptor(2, [0, 1], [-4, 0, 1])  # constant term divisible by p^2
         with pytest.raises(NotEisenstein):
-            nr.make_tower(2, [0, 1], [-2, 1, 1])  # middle coefficient a unit
+            nr.TowerDescriptor(2, [0, 1], [-2, 1, 1])  # middle coefficient a unit
 
     def test_not_prime_rejected(self):
         with pytest.raises(NotPrime):
-            nr.make_tower(6, [0, 1], [0, 1])
+            nr.TowerDescriptor(6, [0, 1], [0, 1])
 
     def test_json_roundtrip(self):
-        t = nr.make_tower(2, [1, 1, 1], [[-2, 0], [0, 0], [1, 0]])
+        t = nr.TowerDescriptor(2, [1, 1, 1], [[-2, 0], [0, 0], [1, 0]])
         t2 = nr.TowerDescriptor.from_json(t.to_json())
         assert t2 == t and t2.to_json() == t.to_json()
+
+    @pytest.mark.parametrize("unram, plain, rows", [
+        ([0, 1], [-2, 0, 1], [[-2], [0], [1]]),
+        ([0, 1], [Fraction(-4, 2), Fraction(0), 1], [[Fraction(-2)], [0], [Fraction(1)]]),
+        ([1, 1, 1], [-2, 0, 1], [[-2, 0], [0, 0], [1, 0]]),
+        ([1, 1, 1], [[-2], 0, [1, 0]], [[-2, 0], [0, 0], [1, 0]]),
+    ], ids=["f=1", "fractions", "f=2", "mixed"])
+    def test_plain_coefficients_are_one_entry_rows(self, unram, plain, rows):
+        t, expected = nr.TowerDescriptor(2, unram, plain), nr.TowerDescriptor(2, unram, rows)
+        assert t == expected and t.to_json() == expected.to_json()
+
+
+_Q2 = nr.TowerDescriptor(2, [0, 1], [0, 1])
+_Q2_SQRT2 = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
+_F4 = nr.TowerDescriptor(2, [1, 1, 1], [0, 1])
+
+
+# (record class, constructor values, the fields read back in __slots__ order)
+RECORDS = [
+    (LogCoefficients, ("ring", ("l0", "l1")), ("ring", ("l0", "l1"))),
+    (CyclicModulePresentation, (2, 3, ("g",), True, "bp", None),
+     (2, 3, ("g",), True, "bp", None)),
+    (nr.SplittingReport, (7, (1, 2), False, False, True), (7, (1, 2), False, False, True)),
+    # f_rel, e_rel and the target ring are derived from the two towers
+    (GammaTable, (_Q2, _Q2_SQRT2, 2, (None, "g1", "g2"), {}),
+     (_Q2, _Q2_SQRT2, 2, (None, "g1", "g2"), 1, 2, PolyRing(_Q2_SQRT2), {})),
+    # the vector is reduced modulo w^2 + w + 1: 1 + w^2 = w
+    (nr.ResidueElement, (_F4, (1, 0, 1)), (_F4, (0, 1))),
+]
+
+
+@pytest.mark.parametrize("cls, values, fields", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_read_back_in_slot_order(cls, values, fields):
+    record = cls(*values)
+    assert len(cls.__slots__) == len(fields)
+    for name, want in zip(cls.__slots__, fields):
+        value = getattr(record, name)
+        if isinstance(want, PolyRing):
+            assert value.same_ring(want), name
+        else:
+            assert value == want, name
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises((TypeError, ValueError)):
+            cls(*wrong)
 
 
 class TestFieldArithmetic:
     def setup_method(self):
-        self.t = nr.make_tower(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)")
+        self.t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)")
 
     def test_defining_relation(self):
         th = self.t.theta()
@@ -86,7 +139,7 @@ class TestFieldArithmetic:
             self.t.one() / self.t.zero()
 
     def test_tower_mismatch(self):
-        other = nr.make_tower(2, [0, 1], [-6, 0, 1])
+        other = nr.TowerDescriptor(2, [0, 1], [-6, 0, 1])
         with pytest.raises(TowerMismatch):
             self.t.one() + other.one()
 
@@ -98,7 +151,7 @@ class TestFieldArithmetic:
 
     def test_inverse_roundtrip_random(self):
         rng = random.Random(11)
-        t3 = nr.make_tower(2, [1, 1, 1], [[-2, 0], [0, 0], [1, 0]])
+        t3 = nr.TowerDescriptor(2, [1, 1, 1], [[-2, 0], [0, 0], [1, 0]])
         for _ in range(40):
             z = random_element(t3, rng, denom_bound=3)
             if z.is_zero():
@@ -114,26 +167,26 @@ class TestFieldArithmetic:
 
 class TestIntegralityValuationResidue:
     def test_integrality_examples(self):
-        t = nr.make_tower(2, [0, 1], [-2, 0, 1])
+        t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         th = t.theta()
         assert not nr.is_integral(th / 2)
         assert nr.is_integral(2 / th)
         assert nr.is_integral(t.one())
 
     def test_valuation_examples(self):
-        t = nr.make_tower(2, [0, 1], [-2, 0, 0, 1])
+        t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 0, 1])
         assert nr.valuation(t.from_rational(2)) == 3
         assert nr.valuation(t.theta()) == 1
         assert nr.valuation(t.from_rational(2) / t.theta() ** 2) == 1
         assert nr.valuation(t.zero()) == nr.INFINITY
 
     def test_residue_reduced_read_only_and_hashed_by_value(self):
-        t = nr.make_tower(3, [1, 0, 1], [0, 1])  # F_9 = F_3[w]/(w^2 + 1)
+        t = nr.TowerDescriptor(3, [1, 0, 1], [0, 1])  # F_9 = F_3[w]/(w^2 + 1)
         a = nr.ResidueElement(t, (4, 0, 1))  # 4 + w^2 = 3 = 0 mod (3, w^2 + 1)
         assert a.vec == () and a.is_zero()
         b = nr.ResidueElement(t, (1, 5))
         assert b.vec == (1, 2)
-        assert b == nr.ResidueElement(nr.make_tower(3, [1, 0, 1], [0, 1], "other"), (1, 2))
+        assert b == nr.ResidueElement(nr.TowerDescriptor(3, [1, 0, 1], [0, 1], "other"), (1, 2))
         assert hash(b) == hash(nr.ResidueElement(t, (4, 2)))
         assert b != nr.ResidueElement(t, (1, 1)) and b != (1, 2)
         with pytest.raises(AttributeError):
@@ -142,9 +195,9 @@ class TestIntegralityValuationResidue:
     def test_valuation_additive(self):
         rng = random.Random(5)
         for tower in (
-            nr.make_tower(2, [0, 1], [-2, 0, 1]),
-            nr.make_tower(3, [0, 1], [-3, 0, 0, 1]),
-            nr.make_tower(2, [1, 1, 1], [0, 1]),
+            nr.TowerDescriptor(2, [0, 1], [-2, 0, 1]),
+            nr.TowerDescriptor(3, [0, 1], [-3, 0, 0, 1]),
+            nr.TowerDescriptor(2, [1, 1, 1], [0, 1]),
         ):
             checked = 0
             while checked < 200:
@@ -157,7 +210,7 @@ class TestIntegralityValuationResidue:
 
     def test_integral_iff_nonnegative_valuation(self):
         rng = random.Random(6)
-        tower = nr.make_tower(2, [0, 1], [-2, 0, 1])
+        tower = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         for _ in range(100):
             z = random_element(tower, rng, denom_bound=4)
             if z.is_zero():
@@ -165,20 +218,20 @@ class TestIntegralityValuationResidue:
             assert nr.is_integral(z) == (nr.valuation(z) >= 0)
 
     def test_residue_examples(self):
-        t = nr.make_tower(2, [0, 1], [-2, 0, 1])
+        t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         assert nr.residue(t.theta()).is_zero()
         assert nr.residue(t.one() + 2 * t.theta()).vec == (1,)
-        t3 = nr.make_tower(3, [0, 1], [-3, 0, 0, 1])
+        t3 = nr.TowerDescriptor(3, [0, 1], [-3, 0, 0, 1])
         assert nr.residue(t3.from_rational(3) / t3.theta() ** 3).vec == (1,)
 
     def test_residue_requires_integrality(self):
-        t = nr.make_tower(2, [0, 1], [-2, 0, 1])
+        t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         with pytest.raises(NotIntegral):
             nr.residue(t.theta() / 2)
 
     def test_residue_is_ring_homomorphism(self):
         rng = random.Random(7)
-        tower = nr.make_tower(2, [1, 1, 1], [0, 1])
+        tower = nr.TowerDescriptor(2, [1, 1, 1], [0, 1])
         for _ in range(100):
             a = random_element(tower, rng)
             b = random_element(tower, rng)

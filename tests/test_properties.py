@@ -34,26 +34,26 @@ from fmcalc.gradedpoly import (
 from fmcalc.numberring import (
     FieldElement,
     ResidueElement,
+    TowerDescriptor,
     _basis_mul,
     is_integral,
-    make_tower,
     padic_valuation_rational,
     residue,
     valuation,
 )
 
 TOWERS = [
-    make_tower(2, [0, 1], [-2, 0, 1], "Q2(x^2-2)"),
-    make_tower(3, [0, 1], [-3, 0, 0, 1], "Q3(x^3-3)"),
-    make_tower(2, [1, 1, 1], [0, 1], "unram f=2 over Q2"),
-    make_tower(2, [1, 1, 1], [[-2], [0], [1]], "f=2, x^2-2 over Q2"),
+    TowerDescriptor(2, [0, 1], [-2, 0, 1], "Q2(x^2-2)"),
+    TowerDescriptor(3, [0, 1], [-3, 0, 0, 1], "Q3(x^3-3)"),
+    TowerDescriptor(2, [1, 1, 1], [0, 1], "unram f=2 over Q2"),
+    TowerDescriptor(2, [1, 1, 1], [[-2], [0], [1]], "f=2, x^2-2 over Q2"),
     # Eisenstein polynomial x^2 + 3w*x + 3w over Q3(w), w^2 = -1.
-    make_tower(3, [1, 0, 1], [[0, 3], [0, 3], [1]], "f=2, x^2+3wx+3w over Q3"),
-    make_tower(5, [0, 1], [-5, 0, 1], "Q5(x^2-5)"),
+    TowerDescriptor(3, [1, 0, 1], [[0, 3], [0, 3], [1]], "f=2, x^2+3wx+3w over Q3"),
+    TowerDescriptor(5, [0, 1], [-5, 0, 1], "Q5(x^2-5)"),
     # d = 6: x^3 + 2w*x + 2 over Q2(w), w^2 + w + 1 = 0.
-    make_tower(2, [1, 1, 1], [[2], [0, 2], [0], [1]], "f=2, x^3+2wx+2 over Q2"),
+    TowerDescriptor(2, [1, 1, 1], [[2], [0, 2], [0], [1]], "f=2, x^3+2wx+2 over Q2"),
     # Rational Eisenstein polynomial: structure constants over ds = 2.
-    make_tower(3, [0, 1], [Fraction(-3, 2), 0, 1], "Q3(x^2-3/2)"),
+    TowerDescriptor(3, [0, 1], [Fraction(-3, 2), 0, 1], "Q3(x^2-3/2)"),
 ]
 
 PROPERTY_SETTINGS = settings(

@@ -16,7 +16,7 @@ from fmcalc.gradedpoly import (
     monomial,
     reduce_mod_ideal,
 )
-from fmcalc.numberring import make_tower
+from fmcalc.numberring import TowerDescriptor
 from fmcalc.report import canonical_json
 
 
@@ -602,8 +602,8 @@ class TestObstruction:
         assert "R1" not in ts.realizability_obstruction(m, k_max=20).rules_fired
 
 
-UNRAM2_F2 = {"tower": make_tower(2, [1, 1, 1], [0, 1], "unram f=2 over Q2").to_json()}
-Q2_SQRT2 = {"tower": make_tower(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)").to_json()}
+UNRAM2_F2 = {"tower": TowerDescriptor(2, [1, 1, 1], [0, 1], "unram f=2 over Q2").to_json()}
+Q2_SQRT2 = {"tower": TowerDescriptor(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)").to_json()}
 V2_MINUS_V1_CUBED = {"terms": [{"exps": {"2": 1}, "coeff": "1"},
                                {"exps": {"1": 3}, "coeff": "-1"}]}
 
