@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import gamma as gammamod
 from . import modp
 from .errors import ConfigParseError, FmcalcError, UsageError
-from .formal import hazewinkel_log, log_closed_form, trivial_tower
+from .formal import hazewinkel_log, log_closed_form, log_entries, trivial_tower
 from .numberring import (
     TowerDescriptor,
     find_nonsplit_prime,
@@ -111,7 +111,8 @@ def resolve_settings(args):
 def resolve_tower(settings):
     """Build the working tower from settings: an explicit tower JSON, or
     (p, f, e) with optional explicit polynomials (defaults: smallest monic
-    irreducible of degree f, and x^e - p)."""
+    irreducible of degree f, and x^e - p).  A tower given by flags is built
+    once per process (see _tower)."""
     if settings.get("tower"):
         return TowerDescriptor.from_json(settings["tower"])
     p, f, e = settings["p"], settings["f"], settings["e"]
@@ -130,7 +131,14 @@ def resolve_tower(settings):
         h = [-p] + [0] * (e - 1) + [1]
     else:
         h = [0, 1]
-    return TowerDescriptor(p, g, h)
+    return _tower(p, tuple(g), tuple(h))
+
+
+@functools.lru_cache(maxsize=None)
+def _tower(p, unram_poly, eis_poly):
+    """The tower of flag settings, with the default label: built once per
+    process, and its structure constants and 1/pi with it."""
+    return TowerDescriptor(p, unram_poly, eis_poly)
 
 
 def _with_common(report, settings, tower=None):
@@ -456,6 +464,13 @@ def build_parser():
     plocal.set_defaults(func=cmd_localcoh)
 
     return parser
+
+
+# Every cache that carries work from one call of main to the next in a
+# process.  A fresh interpreter starts with all of them empty, and
+# tools/workcount.py clears them between jobs to count as one does.
+PROCESS_CACHES = (log_entries, trivial_tower, gammamod.gamma_images,
+                  gammamod._division_scan, _tower, build_parser)
 
 
 def run_command(argv):

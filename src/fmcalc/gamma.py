@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
+from .errors import CongruenceFailed, IntegralityFailure, MissingImage, NotSubtower
 from .formal import hazewinkel_log
 from .gradedpoly import (
     GradedPoly,
@@ -39,8 +39,10 @@ class GammaTable(ReadOnly):
 
     `monomials` holds gamma(m) of each source monomial m evaluated so far
     (see monomial_image).  Equality and hashing ignore it, and tables over
-    equal towers share it.  compute_gamma builds a table only after every
-    image has passed its integrality check."""
+    equal towers share it at every N, so it may hold monomials in
+    generators above this table's N; the table refuses those itself.
+    compute_gamma builds a table only after every image has passed its
+    integrality check."""
 
     __slots__ = ("source", "target", "N", "images", "f_rel", "e_rel", "target_ring",
                  "monomials")
@@ -71,15 +73,24 @@ class GammaTable(ReadOnly):
     def is_unramified(self):
         return self.e_rel == 1 and self.f_rel > 1
 
+    def _generator_images(self, monomials):
+        """{n: gamma(v_n)} for n <= N, once no monomial names a generator
+        above N: the shared memo may already hold such a monomial."""
+        for m in monomials:
+            for n, _ in m:
+                if n > self.N:
+                    raise MissingImage("no image for generator v_%d" % n)
+        return dict(enumerate(self.images[1:], 1))
+
     def apply(self, f):
         """Evaluate gamma (coefficient-embedded) on a source polynomial."""
-        images = dict(enumerate(self.images[1:], 1))
+        images = self._generator_images(f.terms)
         return apply_ring_map(f, self.target_ring, images, self.monomials)
 
     def monomial_image(self, m):
-        """gamma(m) for a source monomial m, built once per table; the
-        result is shared, so callers must not change its terms."""
-        images = dict(enumerate(self.images[1:], 1))
+        """gamma(m) for a source monomial m, built once per pair of towers;
+        the result is shared, so callers must not change its terms."""
+        images = self._generator_images((m,))
         return monomial_image(m, self.target_ring, images, self.monomials)
 
     def to_json(self):
@@ -114,28 +125,22 @@ def match_log(source, target, i):
 @functools.lru_cache(maxsize=None)
 def gamma_images(source, target, N):
     """(images, monomial memo) for compute_gamma: solve gamma(l_i^A) =
-    matched log coefficient for the images of the generators, then verify
-    integrality of every image.  Cached by tower equality, which ignores
-    labels, so the result carries no tower."""
-    q_A = source.q
-    c = [match_log(source, target, i) for i in range(N + 1)]
-    pi_A = embed(source.uniformizer(), target)
-    images = [None] * (N + 1)
-    for n in range(1, N + 1):
-        acc = c[n].scale(pi_A)
-        for i in range(1, n):
-            if c[i].is_zero():
-                continue
-            acc = acc - c[i] * images[n - i] ** (q_A ** i)
-        images[n] = acc
-    ok = all(
-        is_integral(coeff)
-        for n in range(1, N + 1)
-        for coeff in images[n].terms.values()
-    )
-    if not ok:
+    matched log coefficient for the images of the generators, and verify
+    that each image is integral.  The images for N extend those cached for
+    N - 1 by gamma(v_N), and every N shares one memo.  Cached by tower
+    equality, which ignores labels, so the result carries no tower."""
+    if N == 0:
+        match_log(source, target, 0)  # refuses a non-subtower at N = 0 too
+        return (None,), {}
+    images, memo = gamma_images(source, target, N - 1)
+    acc = match_log(source, target, N).scale(embed(source.uniformizer(), target))
+    for i in range(1, N):
+        c = match_log(source, target, i)
+        if not c.is_zero():
+            acc = acc - c * images[N - i] ** (source.q ** i)
+    if not all(is_integral(coeff) for coeff in acc.terms.values()):
         raise IntegralityFailure("a gamma image has a non-integral coefficient")
-    return tuple(images), {}
+    return images + (acc,), memo
 
 
 def compute_gamma(source, target, N):
@@ -285,17 +290,31 @@ def eventual_division_witness(table, n, m_max):
     case over all m, each remainder and quotient carried on from the one
     before (see _power_divisions).  For n = 1 the raw zero-case outcome
     modulo the uniformizer is reported alongside the modulo-p convention.
+    The scan runs once per process for each pair of images (see
+    _division_scan); y is serialized with this table's N.
     """
     if n + 1 > table.N:
         raise ValueError("need gamma(v_%d): exceeds table truncation" % (n + 1))
-    p = table.target.p
-    g_n = table.image(n)
-    g_next = table.image(n + 1)
+    outcome, quot = _division_scan(table.image(n), table.image(n + 1), table.target.p,
+                                   n, m_max)
     report = {
         "n": n,
         "m_max": m_max,
         "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1),
     }
+    report.update(outcome)
+    if quot is not None:
+        report["y"] = quot.to_json(table.N)
+    return report
+
+
+@functools.lru_cache(maxsize=None)
+def _division_scan(g_n, g_next, p, n, m_max):
+    """(outcome, quotient) of eventual_division_witness's scan with
+    g_n = gamma(v_n) and g_next = gamma(v_{n+1}): the report fields it
+    finds, and the quotient y of a division-case witness, else None.  It
+    reads nothing else, so tables of any N, and any tables with these
+    images, share one scan."""
     powers = {1: g_next}  # powers[m] = g_next^m, built on demand
 
     def power(m):
@@ -303,29 +322,28 @@ def eventual_division_witness(table, n, m_max):
             powers[m] = power(m // p) ** p if m % p == 0 else power(m - 1) * g_next
         return powers[m]
 
+    outcome = {}
     if n == 1:
         mod_pi = None
         for m in _powers_of_p_up_to(p, m_max):
             if reduce_mod_ideal(power(m), n).is_zero():
                 mod_pi = m
                 break
-        report["zero_case_mod_uniformizer"] = mod_pi
+        outcome["zero_case_mod_uniformizer"] = mod_pi
     for m in _powers_of_p_up_to(p, m_max):
         if in_ideal_In(power(m), n):
-            report.update({"found": True, "case": "zero", "m": m, "y": "0"})
-            return report
+            outcome.update({"found": True, "case": "zero", "m": m, "y": "0"})
+            return outcome, None
     # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
     divisions = _power_divisions(g_next, g_n) if g_n else (
         (g_n, power(m)) for m in range(1, m_max + 1)
     )
     for m, (quot, rem) in zip(range(1, m_max + 1), divisions):
         if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
-            report.update(
-                {"found": True, "case": "divide", "m": m, "y": quot.to_json(table.N)}
-            )
-            return report
-    report.update({"found": False, "not_found_up_to": m_max})
-    return report
+            outcome.update({"found": True, "case": "divide", "m": m})
+            return outcome, quot
+    outcome.update({"found": False, "not_found_up_to": m_max})
+    return outcome, None
 
 
 def order_preservation_check(table, sample_size, weight_bound, seed=0):

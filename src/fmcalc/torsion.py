@@ -11,6 +11,8 @@ bordered by identities, so U and V come out beside and below it.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
 from .gradedpoly import (
@@ -119,11 +121,16 @@ def _detect_p_power(gens, p):
 
 
 class GroebnerBasis:
-    __slots__ = ("basis", "truncated")
+    """A reduced basis, whether its completion was degree-truncated, and
+    the normal forms NF(v_n^k), k = 1, 2, ..., that scans have taken so
+    far, kept per n (see _power_normal_forms)."""
+
+    __slots__ = ("basis", "truncated", "power_forms")
 
     def __init__(self, basis, truncated=False):
         self.basis = basis
         self.truncated = truncated
+        self.power_forms = {}
 
 
 def _monic(f):
@@ -210,11 +217,14 @@ def _power_normal_forms(gb, ring, n):
     the one before.  On a complete basis the normal form is unique, so this
     is NF(v_n^k); a truncated basis raises on the first nonzero form, at
     k = 1, before any product is taken.  Multiplying by v_n only raises an
-    exponent, so no coefficient is multiplied."""
-    nf = ring.one()
-    while True:
-        nf = normal_form(nf.shift(((n, 1),)), gb)
-        yield nf
+    exponent, so no coefficient is multiplied.  The forms are kept on gb,
+    so a later scan of the same n resumes where the longest one stopped."""
+    forms = gb.power_forms.setdefault(n, [])
+    for k in itertools.count():
+        if k == len(forms):
+            prev = forms[-1] if forms else ring.one()
+            forms.append(normal_form(prev.shift(((n, 1),)), gb))
+        yield forms[k]
 
 
 def is_vn_power_torsion(module, n, k_max, gb=None):

@@ -374,6 +374,30 @@ def test_session_reuses_parser_without_leaks(capsys, tmp_path, monkeypatch):
     assert results == [run_alone(argv) for argv in session]
 
 
+def test_session_reuses_towers_images_and_scans_across_N(capsys, tmp_path, monkeypatch):
+    # One interpreter builds Q2(x^2-2), its gamma images and its
+    # eventual-division scans once and serves every N from them.  Each call
+    # still prints what it prints when run alone, and a config tower equal
+    # to the flag tower prints its own label, not the flag tower's.
+    monkeypatch.delenv("FMCALC_CONFIG", raising=False)
+    cfg = tmp_path / "sqrt2.json"
+    cfg.write_text(json.dumps({"tower": {"p": 2, "unram_poly": [0, 1],
+                                         "eis_poly": [["-2"], ["0"], ["1"]],
+                                         "label": "sqrt2"}}))
+    session = [
+        ["verify", suite, "--p", "2", "--e", "2", "--N", str(N)]
+        for N in (2, 3, 4) for suite in ("eventual-division", "rational-iso")
+    ] + [
+        ["gamma", "--p", "2", "--e", "2", "--N", "3"],
+        ["gamma", "--config", str(cfg), "--N", "3"],
+    ]
+    results = [run(capsys, *argv)[:2] for argv in session]
+    assert [code for code, _ in results] == [0] * len(session)
+    labels = [json.loads(out)["tower"]["label"] for _, out in results[-2:]]
+    assert labels == ["p=2,f=1,e=2", "sqrt2"]
+    assert results == [run_alone(argv) for argv in session]
+
+
 def test_gamma_cold_start_loads_only_what_it_runs():
     # A one-shot `fmcalc gamma` needs neither the torsion module nor the
     # dataclasses machinery (and the inspect module it pulls in).

@@ -2,9 +2,9 @@ import pytest
 
 from fmcalc import gamma as gm
 from fmcalc import numberring as nr
-from fmcalc.errors import CongruenceFailed, NotSubtower
+from fmcalc.errors import CongruenceFailed, MissingImage, NotSubtower
 from fmcalc.formal import hazewinkel_log, trivial_tower
-from fmcalc.gradedpoly import PolyRing, monomial
+from fmcalc.gradedpoly import GradedPoly, PolyRing, monomial
 
 
 class TestMatchLog:
@@ -73,6 +73,21 @@ class TestComputeGamma:
         logs_a = hazewinkel_log(q3, 4)
         for n in range(5):
             assert table.apply(logs_a[n]) == gm.match_log(q3, unram3_f2, n), n
+
+    def test_smaller_table_refuses_generators_above_its_N(self, q2, q2_sqrt2):
+        # Tables over one pair of towers share one monomial memo, and the
+        # N = 5 table fills it with images of v_3 monomials first.
+        m = monomial({1: 1, 3: 2})
+        big = gm.compute_gamma(q2, q2_sqrt2, 5)
+        big.monomial_image(m)
+        big.apply(GradedPoly(PolyRing(q2), {monomial({3: 1}): q2.one()}))
+        small = gm.compute_gamma(q2, q2_sqrt2, 2)
+        with pytest.raises(MissingImage, match="v_3"):
+            small.monomial_image(m)
+        with pytest.raises(MissingImage, match="v_3"):
+            small.apply(GradedPoly(PolyRing(q2), {monomial({3: 1}): q2.one()}))
+        assert small.monomial_image(monomial({1: 1, 2: 2})) == big.monomial_image(
+            monomial({1: 1, 2: 2}))
 
     def test_integrality_flag(self, q2, q2_cbrt2):
         table = gm.compute_gamma(q2, q2_cbrt2, 4)
@@ -208,6 +223,23 @@ class TestEventualDivision:
         assert rep["y"] == y.to_json(2)
         r = g2 ** 2 - y * g1
         assert r == ring.gen(2, 2).scale(2) and gm.in_ideal_In(r, 1)
+
+    def test_memoized_divide_case_serializes_with_the_callers_N(self, q2, q2_sqrt2):
+        # The scan reads gamma(v_1), gamma(v_2), p, n and m_max only, so an
+        # N = 3 table with the synthetic images of test_divide_case is
+        # served the N = 2 table's scan; its y records N = 3.
+        ring = PolyRing(q2_sqrt2)
+        v1, v2, v3, theta = ring.gen(1), ring.gen(2), ring.gen(3), q2_sqrt2.theta()
+        g1, g2 = v1, v1 + v2.scale(theta)
+        y = v1 + v2.scale(theta * 2)
+        short = gm.GammaTable(q2, q2_sqrt2, 2, (None, g1, g2), {})
+        assert gm.eventual_division_witness(short, 1, 8)["y"] == y.to_json(2)
+        hits = gm._division_scan.cache_info().hits
+        table = gm.GammaTable(q2, q2_sqrt2, 3, (None, g1, g2, v3), {})
+        rep = gm.eventual_division_witness(table, 1, 8)
+        assert gm._division_scan.cache_info().hits == hits + 1
+        assert rep["found"] and rep["case"] == "divide" and rep["m"] == 2
+        assert rep["y"] == y.to_json(3) != y.to_json(2)
 
     def test_poly_divide_is_exact(self, q2, q2_sqrt2):
         table = gm.compute_gamma(q2, q2_sqrt2, 3)

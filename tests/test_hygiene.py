@@ -1,7 +1,8 @@
 """Static hygiene of the package source, checked with `ast`: no unused
 imports, no exception class in errors.py that nothing else names, and no
 function or method that nothing in the source, tests, benchmark or tools
-names.  Also, every function perfbench/tracer.py wraps by name exists."""
+names.  Also, every function perfbench/tracer.py wraps by name exists, and
+every cached function is in fmcalc.cli.PROCESS_CACHES."""
 
 import ast
 import importlib.util
@@ -112,3 +113,22 @@ def test_every_tracer_target_resolves():
         if not callable(value):
             missing.append("%s.%s" % (modname, attr))
     assert not missing, "tracer targets that fmcalc does not define: %s" % ", ".join(missing)
+
+
+def test_every_cached_function_is_a_process_cache():
+    """tools/workcount.py clears fmcalc.cli.PROCESS_CACHES between jobs to
+    count as fresh interpreters do, so a cache left out of it would carry
+    work from one job to the next unseen."""
+    from fmcalc.cli import PROCESS_CACHES
+
+    decorated = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                ast.unparse(d).startswith(("functools.cache", "functools.lru_cache"))
+                for d in node.decorator_list
+            ):
+                decorated.add("%s.%s" % (path.stem, node.name))
+    listed = {"%s.%s" % (c.__module__.rsplit(".", 1)[1], c.__wrapped__.__name__)
+              for c in PROCESS_CACHES}
+    assert decorated == listed

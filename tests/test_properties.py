@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
 from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
-from fmcalc.gamma import GammaTable, _power_divisions, compute_gamma, poly_divide
+from fmcalc.gamma import (
+    GammaTable,
+    _power_divisions,
+    compute_gamma,
+    gamma_images,
+    match_log,
+    poly_divide,
+)
 from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
@@ -36,6 +43,7 @@ from fmcalc.numberring import (
     ResidueElement,
     TowerDescriptor,
     _basis_mul,
+    embed,
     is_integral,
     padic_valuation_rational,
     residue,
@@ -572,10 +580,31 @@ def test_log_entries_are_equal_across_N(tower):
         assert short[k] == long[k] == closed[k], k
 
 
+def _gamma_images_from_scratch(source, target, N):
+    """gamma(v_1), ..., gamma(v_N) by the recursion of the module docstring
+    of fmcalc.gamma, with no cache of earlier images."""
+    c = [match_log(source, target, i) for i in range(N + 1)]
+    pi_a = embed(source.uniformizer(), target)
+    images = [None]
+    for n in range(1, N + 1):
+        acc = c[n].scale(pi_a)
+        for i in range(1, n):
+            acc = acc - c[i] * images[n - i] ** (source.q ** i)
+        images.append(acc)
+    return images
+
+
 @pytest.mark.parametrize("pair", GAMMA_PAIRS, ids=["%s->%s" % (s.label, t.label) for s, t in GAMMA_PAIRS])
 def test_gamma_images_are_equal_across_N(pair):
-    short, long = compute_gamma(*pair, 2), compute_gamma(*pair, 3)
+    # The larger table is asked for first, so the smaller one is served
+    # from the images it cached on the way.
+    gamma_images.cache_clear()
+    long, short = compute_gamma(*pair, 4), compute_gamma(*pair, 2)
+    scratch = _gamma_images_from_scratch(*pair, 4)
+    for n in range(1, 5):
+        assert long.image(n) == scratch[n], n
     for n in (1, 2):
-        assert short.image(n) == long.image(n), n
+        assert short.image(n) == scratch[n], n
+    assert len(short.images) == 3 and short.N == 2
     m = monomial({1: 2, 2: 1})
     assert short.monomial_image(m) == long.monomial_image(m)

@@ -26,3 +26,17 @@ def test_workcount_reports_call_counts(tmp_path):
     product_rows = [row for row in wc.named_counts(stats, wc.DEFAULT_NAMES)
                     if row[0] == "gradedpoly.__mul__"]
     assert product_rows and all(calls > 0 for _, _, calls in product_rows)
+
+
+def test_workcount_builds_each_job_tower_afresh(tmp_path):
+    # Jobs 2 and 5 both run on Q2(x^3-2).  A fresh interpreter per job
+    # builds that tower, and its 1/pi, again for the second job, so the
+    # count clears the per-process tower cache between jobs.
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["gamma-cold"](1)[2:6]
+    towers = [job["size"]["tower"] for job in jobs]
+    assert len(set(towers)) < len(towers)
+    stats, nonzero, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), True)
+    assert (nonzero, raised) == (0, 0)
+    inverse_rows = wc.named_counts(stats, ["numberring.inverse"])
+    assert sum(calls for _, _, calls in inverse_rows) == len(jobs)

@@ -12,9 +12,9 @@ perfbench/run.py's `check`.  It prints one line per workload and one per
 mismatch, and exits 1 if there is any mismatch.
 
 The benchmark runs every gamma-cold job in a fresh interpreter, but here
-gamma jobs run warm, after whatever the jobs before them left in the
-log_entries and gamma_images caches.  A mismatch that appears only here, and
-not in the benchmark, is therefore a cache leak between calls.
+gamma jobs run warm, after whatever the jobs before them left in the caches
+of fmcalc.cli.PROCESS_CACHES.  A mismatch that appears only here, and not in
+the benchmark, is therefore a cache leak between calls.
 """
 
 import json

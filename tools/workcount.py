@@ -12,7 +12,7 @@ line, keyed by its first line number.  Without NAMEs it reports the
 (`GradedPoly.__mul__`).
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
-the log_entries and gamma_images caches are cleared between jobs here.
+every cache in fmcalc.cli.PROCESS_CACHES is cleared between jobs here.
 Call counts do not depend on the speed of the host, so they compare two
 versions of the program where wall times cannot.
 """
@@ -32,8 +32,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py, for materialize)
 import workloads  # noqa: E402  (perfbench/workloads.py)
-from fmcalc import formal, gamma  # noqa: E402
-from fmcalc.cli import main as fmcalc_main  # noqa: E402
+from fmcalc import cli  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
                  "numberring.inverse", "gradedpoly.__mul__"]
@@ -46,13 +45,13 @@ def profile_jobs(job_argvs, fresh_caches):
     nonzero = raised = 0
     for argv in job_argvs:
         if fresh_caches:
-            formal.log_entries.cache_clear()
-            gamma.gamma_images.cache_clear()
+            for cache in cli.PROCESS_CACHES:
+                cache.cache_clear()
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             prof.enable()
             try:
-                code = fmcalc_main(argv)
+                code = cli.main(argv)
             except Exception:  # a crashing job is counted, as in the benchmark
                 raised += 1
             else:
