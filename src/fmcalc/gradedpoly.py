@@ -358,18 +358,17 @@ def leading_term(f):
     return f._lead
 
 
-def divide(f, divisors):
-    """Multivariate division under the monomial order: returns ([q_i], r)
-    with f = sum q_i * d_i + r and no term of r divisible by any lm(d_i).
-    Each step reduces the leading term of what is left by the first
-    divisor whose leading monomial divides it; coefficients divide exactly
-    (field or residue field).  A zero divisor raises ZeroPolynomial.
+def _reduce(f, divisors, quots=None):
+    """The remainder of f on division by the divisors, as a dict of terms;
+    when quots is given (one dict per divisor), each quotient term is
+    recorded in it.  Each step reduces the leading term of what is left by
+    the first divisor whose leading monomial divides it; coefficients
+    divide exactly (field or residue field).  A zero divisor raises
+    ZeroPolynomial.
 
     What is left is one dict, changed in place; a heap of its monomials
     yields the leading one, skipping monomials that have since cancelled."""
-    ring = f.ring
     leads = [leading_term(d) for d in divisors]
-    quots = [{} for _ in divisors]
     rem = {}
     work = dict(f.terms)
     heap = [(_descending_key(m), m) for m in work]
@@ -382,9 +381,14 @@ def divide(f, divisors):
         for i, (lm, _, lc_inv) in enumerate(leads):
             ratio = monomial_divide(m, lm)
             if ratio is not None:
-                q = quots[i][ratio] = c * lc_inv
-                # Subtracting q * ratio * d_i cancels the term at m.
-                for t, s in divisors[i].shift(ratio, q).terms.items():
+                q = c * lc_inv
+                if quots is not None:
+                    quots[i][ratio] = q
+                # Subtracting q * ratio * d_i cancels the term at m; over a
+                # field no product a * q of nonzero coefficients is zero.
+                for u, a in divisors[i].terms.items():
+                    t = monomial_mul(u, ratio)
+                    s = a * q
                     old = work.get(t)
                     if old is None:
                         work[t] = -s
@@ -397,7 +401,21 @@ def divide(f, divisors):
         else:
             rem[m] = c
             del work[m]
-    return [GradedPoly(ring, q) for q in quots], GradedPoly(ring, rem)
+    return rem
+
+
+def remainder(f, divisors):
+    """The remainder r of divide(f, divisors), without the quotients."""
+    return GradedPoly(f.ring, _reduce(f, divisors))
+
+
+def divide(f, divisors):
+    """Multivariate division under the monomial order: returns ([q_i], r)
+    with f = sum q_i * d_i + r and no term of r divisible by any lm(d_i)
+    (see _reduce)."""
+    quots = [{} for _ in divisors]
+    rem = _reduce(f, divisors, quots)
+    return [GradedPoly(f.ring, q) for q in quots], GradedPoly(f.ring, rem)
 
 
 def monomial_image(m, ring, images, memo):

@@ -4,9 +4,11 @@ degreewise local cohomology at (p), and nonrealizability certificates.
 Torsion questions for a cyclic module R/J with p in J reduce to normal
 forms modulo a Groebner basis of the reduction of J over F_p, taken with
 respect to the same monomial order as everywhere else (highest generator
-index most significant).  Local cohomology reads the diagonal of one Smith
-elimination; `smith_normal_form` runs the same elimination on the matrix
-bordered by identities, so U and V come out beside and below it.
+index most significant).  Local cohomology reads the p-parts of the
+elementary divisors, and the rank, from one fraction-free elimination over
+Z_(p); `smith_normal_form`, the exact oracle the tests check it against,
+runs a Smith elimination on the matrix bordered by identities, so U and V
+come out beside and below it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .gradedpoly import (
     ONE_MONOMIAL,
     GradedPoly,
     PolyRing,
-    divide,
     divide_by_var,
     leading_term,
     monomial_divide,
@@ -28,8 +29,15 @@ from .gradedpoly import (
     monomial_mul,
     monomial_weight,
     reduce_mod_ideal,
+    remainder,
 )
-from .numberring import ReadOnly, TowerDescriptor, is_prime, padic_valuation_rational
+from .numberring import (
+    INFINITY,
+    ReadOnly,
+    TowerDescriptor,
+    is_prime,
+    padic_valuation_rational,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +148,7 @@ def _monic(f):
 def normal_form(f, gb):
     """Remainder of f on division by the basis; zero certifies membership
     (only up to the truncation caveat, which is raised as an error)."""
-    rem = divide(f, gb.basis)[1]
+    rem = remainder(f, gb.basis)
     if gb.truncated and not rem.is_zero():
         raise TruncationUnsound(
             "basis was degree-truncated; nonzero normal form proves nothing"
@@ -169,7 +177,7 @@ def groebner_basis(gens, degree_bound):
             truncated = True
             continue
         s = fi.shift(monomial_divide(lcm, mi)) - fj.shift(monomial_divide(lcm, mj))
-        rem = divide(s, basis)[1]
+        rem = remainder(s, basis)
         if not rem.is_zero():
             rem = _monic(rem)
             pairs.extend((k, len(basis)) for k in range(len(basis)))
@@ -178,7 +186,7 @@ def groebner_basis(gens, degree_bound):
     reduced = []
     for idx, b in enumerate(basis):
         others = [x for k, x in enumerate(basis) if k != idx]
-        r = divide(b, others)[1] if others else b
+        r = remainder(b, others) if others else b
         if not r.is_zero():
             reduced.append(_monic(r))
     seen = []
@@ -275,12 +283,16 @@ def _int_rows(A):
     return rows
 
 
-def _smith_eliminate(M, g, r):
-    """Bring the upper-left g x r block of the integer matrix M (a list of
-    row lists, changed in place) to Smith form: diagonal, nonnegative, each
-    diagonal entry dividing the next.  Pivots and tests read the block
-    alone; row operations act on whole rows of M and column operations on
-    whole columns, so any blocks beside and below it undergo them too."""
+def smith_normal_form(A):
+    """U, D, V with U*A*V = D diagonal, U and V unimodular, and each
+    diagonal entry dividing the next; exact integer arithmetic.  One
+    elimination runs on M = [[A, I_g], [I_r, 0]]: pivots and tests read the
+    block of A alone, row operations act on whole rows of M and column
+    operations on whole columns, so they build U beside A and V below it."""
+    A = _int_rows(A)
+    g, r = len(A), len(A[0]) if A else 0
+    M = [row + [int(i == k) for k in range(g)] for i, row in enumerate(A)]
+    M += [[int(j == k) for k in range(r)] + [0] * g for j in range(r)]
     t = 0
     while t < min(g, r):
         # find a pivot: smallest nonzero |entry| in the remaining block, the
@@ -323,26 +335,60 @@ def _smith_eliminate(M, g, r):
             M[t] = [a + b for a, b in zip(M[t], M[bad])]
             continue
         t += 1
-
-
-def smith_normal_form(A):
-    """U, D, V with U*A*V = D diagonal, U and V unimodular, and each
-    diagonal entry dividing the next; exact integer arithmetic.  One
-    elimination runs on [[A, I_g], [I_r, 0]]: its row operations build U
-    beside A and its column operations build V below it."""
-    A = _int_rows(A)
-    g, r = len(A), len(A[0]) if A else 0
-    M = [row + [int(i == k) for k in range(g)] for i, row in enumerate(A)]
-    M += [[int(j == k) for k in range(r)] + [0] * g for j in range(r)]
-    _smith_eliminate(M, g, r)
     return [row[r:] for row in M[:g]], [row[:r] for row in M[:g]], [row[:r] for row in M[g:]]
+
+
+def _p_local_divisor_valuations(M, p):
+    """The p-adic valuations of the nonzero elementary divisors of the
+    integer matrix M (a list of row lists, changed in place), in ascending
+    order; their number is the rank.
+
+    One fraction-free (Bareiss) elimination over Z_(p): step t swaps a
+    pivot of least valuation in the remaining block to (t, t), the first
+    in row-major order (a unit ends the search), and updates the rows
+    below it, M[i][j] <- (piv*M[i][j] - M[i][t]*M[t][j]) // prev with prev
+    the pivot before (1 at first).  The division is exact, since each
+    entry is then a minor of M.  Over the discrete valuation ring Z_(p) a
+    pivot of least valuation divides its whole Schur complement, so the
+    t-th elementary divisor has valuation v(piv_t) - v(piv_{t-1}) (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4)."""
+    g, r = len(M), len(M[0])
+    vals = []
+    prev, v_prev = 1, 0
+    for t in range(min(g, r)):
+        v_piv, pivot = INFINITY, None
+        for i in range(t, g):
+            for j in range(t, r):
+                v = padic_valuation_rational(M[i][j], p)
+                if v < v_piv:
+                    v_piv, pivot = v, (i, j)
+                    if not v:
+                        break
+            if not v_piv:
+                break
+        if pivot is None:
+            break  # the remaining block is zero
+        i, j = pivot
+        M[t], M[i] = M[i], M[t]
+        for row in M[t:]:
+            row[t], row[j] = row[j], row[t]
+        top = M[t]
+        piv = top[t]
+        for row in M[t + 1:]:
+            a = row[t]
+            row[t + 1:] = [(piv * x - a * y) // prev
+                           for x, y in zip(row[t + 1:], top[t + 1:])]
+        vals.append(v_piv - v_prev)
+        prev, v_prev = piv, v_piv
+    return vals
 
 
 def local_cohomology_degreewise(presentations, p):
     """Per degree: M_d = coker(Z^r -> Z^g) from a g x r integer matrix;
     H0 at (p) lists the p-power elementary divisors, H1 corank is the free
-    rank; H^n vanishes for n >= 2.  Only the Smith diagonal is needed, so
-    no transformation matrices are built."""
+    rank; H^n vanishes for n >= 2.  Only the p-parts of the elementary
+    divisors and the rank are needed, so they come from one elimination
+    over Z_(p) (see _p_local_divisor_valuations), not a Smith form."""
     report = {}
     for degree, matrix in presentations.items():
         if not matrix or not matrix[0]:
@@ -353,16 +399,10 @@ def local_cohomology_degreewise(presentations, p):
             for x in row:
                 if isinstance(x, float) and not x.is_integer() or int(x) != x:
                     raise NonIntegerMatrix("presentation entries must be integers")
-        D = _int_rows(matrix)
-        g = len(matrix)
-        _smith_eliminate(D, g, len(D[0]))
-        diag = [D[i][i] for i in range(min(g, len(matrix[0])))]
-        rank = sum(1 for x in diag if x != 0)
-        # the p-part of each nonzero elementary divisor; units drop out
-        h0 = [p ** padic_valuation_rational(x, p) for x in diag if x]
+        vals = _p_local_divisor_valuations(_int_rows(matrix), p)
         report[str(degree)] = {
-            "H0_invariants": sorted(q for q in h0 if q > 1),
-            "H1_corank": g - rank,
+            "H0_invariants": [p ** v for v in vals if v],
+            "H1_corank": len(matrix) - len(vals),
             "H2_and_above": 0,
         }
     return {"p": p, "degrees": report}

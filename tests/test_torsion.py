@@ -16,7 +16,7 @@ from fmcalc.gradedpoly import (
     monomial,
     reduce_mod_ideal,
 )
-from fmcalc.numberring import TowerDescriptor
+from fmcalc.numberring import TowerDescriptor, padic_valuation_rational
 from fmcalc.report import canonical_json
 
 
@@ -472,6 +472,35 @@ class TestLocalCohomology:
     def test_empty_presentation(self):
         rep = ts.local_cohomology_degreewise({0: []}, 2)
         assert rep["degrees"]["0"]["H1_corank"] == 0
+
+    @staticmethod
+    def smith_readout(A, p):
+        """H0 invariants and H1 corank read from the Smith diagonal."""
+        g, r = len(A), len(A[0])
+        _, D, _ = ts.smith_normal_form(A)
+        diag = [D[i][i] for i in range(min(g, r)) if D[i][i]]
+        h0 = [p ** padic_valuation_rational(x, p) for x in diag]
+        return [q for q in h0 if q > 1], g - len(diag)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pool_sized_presentation_matches_smith(self, p):
+        # 40 x 40, entries drawn as the benchmark's localcoh presentations
+        rng = random.Random(4040 + p)
+        A = [[rng.choice((0, 0, 1, -1, p, -p, p * p, rng.randint(-9, 9)))
+              for _ in range(40)] for _ in range(40)]
+        rep = ts.local_cohomology_degreewise({0: A}, p)["degrees"]["0"]
+        assert (rep["H0_invariants"], rep["H1_corank"]) == self.smith_readout(A, p)
+
+    @pytest.mark.parametrize("A, p, h0", [
+        ([[2, 3], [0, 2]], 2, [4]),
+        ([[3, 4], [0, 3]], 3, [9]),
+    ])
+    def test_pivot_of_least_valuation_not_least_size(self, A, p, h0):
+        # The entry of least |x| is p, but a unit sits beside it: Z^2/A is
+        # Z/p^2 at p.  Pivoting on p would read p twice.
+        rep = ts.local_cohomology_degreewise({0: A}, p)["degrees"]["0"]
+        assert rep["H0_invariants"] == h0 and rep["H1_corank"] == 0
+        assert self.smith_readout(A, p) == (h0, 0)
 
     def test_non_integer_rejected(self):
         from fmcalc.errors import NonIntegerMatrix

@@ -22,10 +22,13 @@ def test_workcount_reports_call_counts(tmp_path):
     # One hazewinkel_log per job, each taking pi^-1 once.
     inverse_rows = wc.named_counts(stats, ["numberring.inverse"])
     assert sum(calls for _, _, calls in inverse_rows) == 3
-    # The default report counts graded products.
-    product_rows = [row for row in wc.named_counts(stats, wc.DEFAULT_NAMES)
-                    if row[0] == "gradedpoly.__mul__"]
+    # The default report counts graded products and the polynomials built,
+    # one line for each constructor in gradedpoly.
+    rows = wc.named_counts(stats, wc.DEFAULT_NAMES)
+    product_rows = [row for row in rows if row[0] == "gradedpoly.__mul__"]
     assert product_rows and all(calls > 0 for _, _, calls in product_rows)
+    init_rows = [row for row in rows if row[0] == "gradedpoly.__init__"]
+    assert len(init_rows) == 2 and all(calls > 0 for _, _, calls in init_rows)
 
 
 def test_workcount_builds_each_job_tower_afresh(tmp_path):

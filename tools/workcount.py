@@ -8,8 +8,9 @@ cProfile; the jobs' output is discarded.  It then prints the total number
 of function calls and the call count of every function named by a NAME, written module.function: for example fractions._mul or
 numberring.inverse.  Each function of that name in that module gets its own
 line, keyed by its first line number.  Without NAMEs it reports the
-`fractions.Fraction` arithmetic, `numberring` inverses and graded products
-(`GradedPoly.__mul__`).
+`fractions.Fraction` arithmetic, `numberring` inverses, graded products
+(`GradedPoly.__mul__`) and the constructors in `gradedpoly`, one line for
+`PolyRing.__init__` and one for `GradedPoly.__init__`.
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
 every cache in fmcalc.cli.PROCESS_CACHES is cleared between jobs here.
@@ -35,7 +36,7 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 from fmcalc import cli  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
-                 "numberring.inverse", "gradedpoly.__mul__"]
+                 "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__"]
 
 
 def profile_jobs(job_argvs, fresh_caches):
