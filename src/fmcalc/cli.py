@@ -365,6 +365,8 @@ def cmd_obstruct(args, settings):
 
 
 def cmd_splitting(args, settings):
+    if args.pmax < 2:
+        raise UsageError("pmax must be an integer >= 2")
     poly = parse_poly_string(args.poly)
     report = {"command": "splitting", "poly": poly, "p_max": args.pmax}
     try:

@@ -130,8 +130,9 @@ def _detect_p_power(gens, p):
 
 class GroebnerBasis:
     """A reduced basis, whether its completion was degree-truncated, and
-    the normal forms NF(v_n^k), k = 1, 2, ..., that scans have taken so
-    far, kept per n (see _power_normal_forms)."""
+    per n the pair (j, forms): j is the first power of v_n that a leading
+    monomial divides, and forms the normal forms NF(v_n^k), k = j, j+1,
+    ..., that scans have taken so far (see _power_normal_forms)."""
 
     __slots__ = ("basis", "truncated", "power_forms")
 
@@ -221,18 +222,28 @@ def module_groebner(module, degree_bound=None):
 
 
 def _power_normal_forms(gb, ring, n):
-    """NF(v_n^k) for k = 1, 2, ...: each is the normal form of v_n times
-    the one before.  On a complete basis the normal form is unique, so this
-    is NF(v_n^k); a truncated basis raises on the first nonzero form, at
-    k = 1, before any product is taken.  Multiplying by v_n only raises an
-    exponent, so no coefficient is multiplied.  The forms are kept on gb,
-    so a later scan of the same n resumes where the longest one stopped."""
-    forms = gb.power_forms.setdefault(n, [])
-    for k in itertools.count():
-        if k == len(forms):
-            prev = forms[-1] if forms else ring.one()
-            forms.append(normal_form(prev.shift(((n, 1),)), gb))
-        yield forms[k]
+    """(j, forms): j is the least k >= 1 for which a leading monomial of
+    the basis (v_n^a with a <= k, or 1) divides v_n^k, None if none does,
+    and 1 on a truncated basis, so that its first nonzero form raises.
+    Below j the division returns v_n^k unchanged, so callers read those
+    powers without taking a form.  forms yields NF(v_n^k), k = j, j+1, ...,
+    each the normal form of v_n times the one before: unique on a complete
+    basis, and no coefficient is multiplied.  The forms are kept on gb, so
+    a later scan of the same n resumes where the longest one stopped."""
+    if n not in gb.power_forms:
+        leads = (leading_term(b)[0] for b in gb.basis)
+        powers = (lm[0][1] if lm else 1 for lm in leads
+                  if not lm or len(lm) == 1 and lm[0][0] == n)
+        gb.power_forms[n] = (1 if gb.truncated else min(powers, default=None), [])
+    j, forms = gb.power_forms[n]
+
+    def scan():
+        for i in itertools.count():
+            if i == len(forms):
+                prev = forms[-1].shift(((n, 1),)) if forms else ring.gen(n, j)
+                forms.append(normal_form(prev, gb))
+            yield forms[i]
+    return j, scan()
 
 
 def is_vn_power_torsion(module, n, k_max, gb=None):
@@ -241,16 +252,18 @@ def is_vn_power_torsion(module, n, k_max, gb=None):
     if gb is None:
         gb = module_groebner(module)
     ring = module.ring.residue_ring()
+    j, scan = _power_normal_forms(gb, ring, n)
     forms = {}
-    for k, nf in zip(range(1, k_max + 1), _power_normal_forms(gb, ring, n)):
-        if nf.is_zero():
-            return {"torsion": True, "k": k, "n": n}
-        forms[k] = nf
-    # record a few nonzero normal forms as witnesses; k_max < 1 scans none
+    if j is not None:
+        for k, nf in zip(range(j, k_max + 1), scan):
+            if nf.is_zero():
+                return {"torsion": True, "k": k, "n": n}
+            forms[k] = nf
+    # witnesses: an unscanned power up to k_max lies below j; k_max < 1 scans none
     nonzero = []
     for k in (1, k_max):
         if k not in forms:
-            forms[k] = normal_form(ring.gen(n, k), gb)
+            forms[k] = ring.gen(n, k) if 1 <= k <= k_max else normal_form(ring.gen(n, k), gb)
         nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": forms[k].to_json(module.N)})
     return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": nonzero}
 
@@ -261,14 +274,20 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
     if gb is None:
         gb = module_groebner(module)
     ring = module.ring.residue_ring()
-    for m, nf in zip(range(1, m_max + 1), _power_normal_forms(gb, ring, r_index)):
-        if nf.is_zero():
-            return {"found": True, "case": "zero", "m": m, "y": "0",
-                    "r": r_index, "s": s_index}
-        y = divide_by_var(nf, s_index)
-        if y is not None:
-            return {"found": True, "case": "divide", "m": m, "y": y.to_json(module.N),
-                    "r": r_index, "s": s_index}
+    j, scan = _power_normal_forms(gb, ring, r_index)
+    # below j, v_r^m is its own nonzero form, divisible by v_s only if s = r
+    if r_index == s_index and m_max >= 1 and j != 1:
+        return {"found": True, "case": "divide", "m": 1, "y": ring.one().to_json(module.N),
+                "r": r_index, "s": s_index}
+    if j is not None:
+        for m, nf in zip(range(j, m_max + 1), scan):
+            if nf.is_zero():
+                return {"found": True, "case": "zero", "m": m, "y": "0",
+                        "r": r_index, "s": s_index}
+            y = divide_by_var(nf, s_index)
+            if y is not None:
+                return {"found": True, "case": "divide", "m": m, "y": y.to_json(module.N),
+                        "r": r_index, "s": s_index}
     return {"found": False, "not_found_up_to": m_max, "r": r_index, "s": s_index}
 
 

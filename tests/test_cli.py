@@ -254,6 +254,27 @@ class TestCommands:
         assert rep["certificate"]["verdict"] == "NotRealizable"
         assert rep["certificate"]["rules_fired"] == ["R1"]
 
+    @pytest.mark.parametrize("N, ideal", [
+        # (2, v_3^2 + v_1^14, v_3*v_2 + v_1^10): the S-pair has weight 17,
+        # above the default bound 2(p^N - 1) = 14.
+        (3, [{"terms": [{"exps": {"3": 2}, "coeff": "1"}, {"exps": {"1": 14}, "coeff": "1"}]},
+             {"terms": [{"exps": {"3": 1, "2": 1}, "coeff": "1"},
+                        {"exps": {"1": 10}, "coeff": "1"}]}]),
+        # (2, v_2*v_1 + v_1^4, v_2^2*v_1): the S-pair has weight 7 > 6, and
+        # no leading monomial divides a power of v_1 or of v_2.
+        (2, [{"terms": [{"exps": {"1": 1, "2": 1}, "coeff": "1"},
+                        {"exps": {"1": 4}, "coeff": "1"}]},
+             _ideal_term({"1": 1, "2": 2})]),
+    ], ids=["S-pair-above-14", "no-reducible-power"])
+    def test_obstruct_truncated_basis_refuses_a_verdict(self, capsys, tmp_path, N, ideal):
+        # A truncated basis proves nothing nonzero, even about powers that
+        # no leading monomial divides.
+        spec = tmp_path / "mod.json"
+        spec.write_text(json.dumps(_module(N=N, ideal=[_ideal_term({}, "2")] + ideal)))
+        code, out, err = run(capsys, "obstruct", str(spec))
+        assert (code, out) == (1, "")
+        assert err.startswith("fmcalc: TruncationUnsound: ")
+
     def test_obstruct_bad_file(self, capsys):
         code, out, err = run(capsys, "obstruct", "/nonexistent.json")
         assert code == 2
@@ -267,6 +288,12 @@ class TestCommands:
         code, out, _ = run(capsys, "splitting", "x-1", "--pmax", "20")
         rep = json.loads(out)
         assert code == 1 and rep["found"] is False and rep["scan_table"]
+
+    @pytest.mark.parametrize("pmax", ["1", "-3"])
+    def test_splitting_pmax_below_two_rejected(self, capsys, pmax):
+        code, out, err = run(capsys, "splitting", "x^3-2", "--pmax", pmax)
+        assert (code, out) == (2, "")
+        assert err == "fmcalc: error: pmax must be an integer >= 2\n"
 
     def test_localcoh(self, capsys, tmp_path):
         spec = tmp_path / "lc.json"

@@ -4,8 +4,9 @@ reference, inverses against Gauss-Jordan elimination over Q, the
 closed-form valuation, graded products and single-monomial shifts, gamma
 as a ring map and its memoized monomial images, multivariate division,
 the remainders of successive powers and the monomial order, the monomials
-of one weight, normal forms modulo Groebner bases over F_p, Smith normal
-form, and logs and gamma images that do not depend on N."""
+of one weight, normal forms modulo Groebner bases over F_p and the
+v_n-power scans read from them, Smith normal form, and logs and gamma
+images that do not depend on N."""
 
 import itertools
 import math
@@ -504,12 +505,57 @@ def test_normal_form_is_idempotent_and_independent_of_generator_order(args, data
 
 
 @PROPERTY_SETTINGS
-@given(complete_bases(), st.integers(1, 3))
+@given(complete_bases(), st.integers(1, 4))
 def test_scanned_powers_match_normal_forms_from_scratch(args, n):
+    # The scan takes forms from the first reducible power j on; below j,
+    # v_n^k is its own normal form.  No generator names v_4.
     ring, _, gb = args
-    for k, nf in zip(range(1, 9), ts._power_normal_forms(gb, ring, n)):
+    j, scan = ts._power_normal_forms(gb, ring, n)
+    for k in range(1, 9):
         power = GradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
+        nf = power if j is None or k < j else next(scan)
         assert nf == ts.normal_form(power, gb)
+
+
+def _power_form(ring, gb, n, k):
+    return ts.normal_form(GradedPoly(ring, {monomial({n: k}): ring.coeff_one()}), gb)
+
+
+def _torsion_reference(ring, gb, N, n, k_max):
+    """is_vn_power_torsion's report, each NF(v_n^k) taken from scratch."""
+    for k in range(1, k_max + 1):
+        if _power_form(ring, gb, n, k).is_zero():
+            return {"torsion": True, "k": k, "n": n}
+    return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": [
+        {"element": "v_%d^%d" % (n, k), "normal_form": _power_form(ring, gb, n, k).to_json(N)}
+        for k in (1, k_max)]}
+
+
+def _division_reference(ring, gb, N, r, s, m_max):
+    """eventual_division_module's report, each NF(v_r^m) taken from scratch."""
+    for m in range(1, m_max + 1):
+        nf = _power_form(ring, gb, r, m)
+        if nf.is_zero():
+            return {"found": True, "case": "zero", "m": m, "y": "0", "r": r, "s": s}
+        quotients = {monomial_divide(t, monomial({s: 1})): c for t, c in nf.terms.items()}
+        if None not in quotients:
+            return {"found": True, "case": "divide", "m": m,
+                    "y": GradedPoly(ring, quotients).to_json(N), "r": r, "s": s}
+    return {"found": False, "not_found_up_to": m_max, "r": r, "s": s}
+
+
+@PROPERTY_SETTINGS
+@given(complete_bases(), st.integers(1, 4))
+def test_scans_match_reports_from_scratch(args, s):
+    # Every n up to 4 and every bound, on one basis whose scans resume one
+    # another; no leading monomial divides a power of v_4.
+    ring, _, gb = args
+    module = ts.CyclicModulePresentation(ring.tower.p, 4, (), True, "bp", 1)
+    for n, bound in itertools.product(range(1, 5), (0, 1, 2, 8)):
+        assert ts.is_vn_power_torsion(module, n, bound, gb=gb) == _torsion_reference(
+            ring, gb, 4, n, bound)
+        assert ts.eventual_division_module(module, n, s, bound, gb=gb) == _division_reference(
+            ring, gb, 4, n, s, bound)
 
 
 # ---------------------------------------------------------------------------

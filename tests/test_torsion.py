@@ -152,13 +152,18 @@ class TestGroebnerAndNormalForm:
                         {"exps": {"1": 4}, "coeff": "1"}]}],
         )
         gb = ts.module_groebner(m, degree_bound=3)
-        if gb.truncated:
-            ring = gb.basis[0].ring
-            f = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
-            nf = divide(f, gb.basis)[1]
-            if not nf.is_zero():
-                with pytest.raises(TruncationUnsound):
-                    ts.normal_form(f, gb)
+        assert gb.truncated
+        ring = gb.basis[0].ring
+        f = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
+        assert not divide(f, gb.basis)[1].is_zero()
+        with pytest.raises(TruncationUnsound):
+            ts.normal_form(f, gb)
+        # No leading monomial divides a power of v_1, yet neither scan may
+        # read the powers as their own forms on a truncated basis.
+        with pytest.raises(TruncationUnsound):
+            ts.is_vn_power_torsion(m, 1, 20, gb=gb)
+        with pytest.raises(TruncationUnsound):
+            ts.eventual_division_module(m, 1, 2, 32, gb=gb)
 
     def test_against_linear_algebra_oracle(self):
         # Brute-force graded membership: in each weight <= bound, row-reduce
@@ -271,6 +276,18 @@ class TestPowerTorsion:
         assert not rep["torsion"]
         assert rep["no_up_to"] == 6
         assert len(rep["nonzero_normal_forms"]) == 2
+
+    def test_irreducible_powers_take_no_normal_form(self, monkeypatch):
+        # J = (p, v_2): no leading monomial divides a power of v_1, so the
+        # scan up to k_max = 20 and its witnesses take no normal form.
+        m = make_module(2, 2, [v_power(None, 2, 1)])
+        gb = ts.module_groebner(m)
+        calls = []
+        normal_form = ts.normal_form
+        monkeypatch.setattr(ts, "normal_form", lambda f, gb: calls.append(f) or normal_form(f, gb))
+        rep = ts.is_vn_power_torsion(m, 1, 20, gb=gb)
+        assert calls == []
+        assert [w["element"] for w in rep["nonzero_normal_forms"]] == ["v_1^1", "v_1^20"]
 
     def test_witnesses_are_normal_forms_of_the_first_and_last_power(self):
         # J = (p, v_2 - v_1^3): v_2^k rewrites to v_1^(3k).  With k_max = 0

@@ -1,4 +1,4 @@
-"""Smoke test of tools/workcount.py on a three-job slice of gamma-cold."""
+"""Smoke tests of tools/workcount.py on slices of gamma-cold and torsion-batch."""
 
 import importlib.util
 import pathlib
@@ -43,3 +43,19 @@ def test_workcount_builds_each_job_tower_afresh(tmp_path):
     assert (nonzero, raised) == (0, 0)
     inverse_rows = wc.named_counts(stats, ["numberring.inverse"])
     assert sum(calls for _, _, calls in inverse_rows) == len(jobs)
+
+
+def test_workcount_reports_torsion_normal_forms(tmp_path):
+    # The first ten torsion-batch jobs are obstruct jobs.  Their scans start
+    # at the first power of v_n that a leading monomial divides; a scan of
+    # every power from v_n^1 takes 599 normal forms here.
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["torsion-batch"](1)[:10]
+    assert {job["kind"] for job in jobs} == {"obstruct"}
+    stats, _, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
+    assert raised == 0
+    rows = {name: calls for name, _, calls in wc.named_counts(stats, wc.DEFAULT_NAMES)
+            if name in ("torsion.normal_form", "gradedpoly._reduce")}
+    # Each normal form is one division; Groebner completion takes the rest.
+    assert 0 < rows["torsion.normal_form"] < rows["gradedpoly._reduce"]
+    assert rows["torsion.normal_form"] < 50

@@ -9,8 +9,10 @@ of function calls and the call count of every function named by a NAME, written 
 numberring.inverse.  Each function of that name in that module gets its own
 line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic, `numberring` inverses, graded products
-(`GradedPoly.__mul__`) and the constructors in `gradedpoly`, one line for
-`PolyRing.__init__` and one for `GradedPoly.__init__`.
+(`GradedPoly.__mul__`), the constructors in `gradedpoly`, one line for
+`PolyRing.__init__` and one for `GradedPoly.__init__`, and the normal forms
+over F_p (`torsion.normal_form`) and divisions (`gradedpoly._reduce`) that
+torsion-batch's obstruct jobs take.
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
 every cache in fmcalc.cli.PROCESS_CACHES is cleared between jobs here.
@@ -36,7 +38,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 from fmcalc import cli  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
-                 "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__"]
+                 "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__",
+                 "torsion.normal_form", "gradedpoly._reduce"]
 
 
 def profile_jobs(job_argvs, fresh_caches):
