@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from . import gamma as gammamod
 from . import modp
-from .errors import ConfigParseError, FmcalcError, UsageError
+from .errors import ConfigParseError, FmcalcError, NotSubtower, UsageError
 from .formal import hazewinkel_log, log_closed_form, log_entries, trivial_tower
+from .gradedpoly import _monomials_of_weight
 from .numberring import (
     TowerDescriptor,
     find_nonsplit_prime,
@@ -52,11 +53,13 @@ def load_config(path):
 # --<name> flag (underscores become dashes) and a config key; a flag wins
 # over the config file, and a value absent from both (or null) takes the
 # default.
-# weight_bound defaults to None: the suites that read it work it out from q.
+# f and e default to None: the degree of the polynomial given, else 1 (see
+# _tower).  weight_bound defaults to None: the suites that read it work it
+# out from q.
 INTEGER_SETTINGS = {
     "p": (None, 2),
-    "f": (1, 1),
-    "e": (1, 1),
+    "f": (None, 1),
+    "e": (None, 1),
     "N": (6, 0),
     "weight_bound": (None, 0),
     "kmax": (20, 0),
@@ -100,45 +103,42 @@ def resolve_settings(args):
             settings[key] = str(getattr(args, key)).replace(",", " ").split()
     try:
         if settings["unram"]:
-            settings["unram"] = [parse_integer(c) for c in settings["unram"]]
+            settings["unram"] = tuple(parse_integer(c) for c in settings["unram"])
         if settings["eis"]:
-            settings["eis"] = [Fraction(str(c)) for c in settings["eis"]]
+            settings["eis"] = tuple(Fraction(str(c)) for c in settings["eis"])
     except (TypeError, ValueError, ZeroDivisionError) as ex:
         raise UsageError("bad polynomial coefficient: %s" % ex)
     return settings
 
 
 def resolve_tower(settings):
-    """Build the working tower from settings: an explicit tower JSON, or
-    (p, f, e) with optional explicit polynomials (defaults: smallest monic
-    irreducible of degree f, and x^e - p).  A tower given by flags is built
-    once per process (see _tower)."""
+    """Build the working tower from settings: an explicit tower JSON, built
+    on each call, or the flag settings (see _tower)."""
     if settings.get("tower"):
         return TowerDescriptor.from_json(settings["tower"])
-    p, f, e = settings["p"], settings["f"], settings["e"]
-    if p is None:
+    if settings["p"] is None:
         raise UsageError("no tower: provide --p (with --f/--e/--unram/--eis) or a config tower")
-    if settings.get("unram"):
-        g = settings["unram"]
-    elif f > 1:
-        g = list(modp.smallest_irreducible(p, f))
-        g = g + [0] * (f + 1 - len(g))
-    else:
-        g = [0, 1]
-    if settings.get("eis"):
-        h = settings["eis"]
-    elif e > 1:
-        h = [-p] + [0] * (e - 1) + [1]
-    else:
-        h = [0, 1]
-    return _tower(p, tuple(g), tuple(h))
+    return _tower(settings["p"], settings["f"], settings["e"],
+                  settings["unram"] or None, settings["eis"] or None)
 
 
 @functools.lru_cache(maxsize=None)
-def _tower(p, unram_poly, eis_poly):
-    """The tower of flag settings, with the default label: built once per
-    process, and its structure constants and 1/pi with it."""
-    return TowerDescriptor(p, unram_poly, eis_poly)
+def _tower(p, f, e, unram, eis):
+    """The tower of flag settings (None where unset), with the default
+    label: built once per process, and its structure constants and 1/pi
+    with it.  The unramified polynomial is `unram`, else the smallest monic
+    irreducible of degree f mod p; the Eisenstein one is `eis`, else x^e - p
+    (x when e = 1).  A degree that is set must be that of its polynomial."""
+    for name, degree, flag, poly in (("f", f, "unram", unram), ("e", e, "eis", eis)):
+        if degree is not None and poly is not None and degree != len(poly) - 1:
+            raise UsageError("%s = %d, but the %s polynomial has degree %d"
+                             % (name, degree, flag, len(poly) - 1))
+    if unram is None:
+        # A composite p has no F_p to search; the constructor refuses it.
+        unram = modp.smallest_irreducible(p, f) if f and is_prime(p) else (0, 1)
+    if eis is None:
+        eis = (-p,) + (0,) * (e - 1) + (1,) if e and e > 1 else (0, 1)
+    return TowerDescriptor(p, unram, eis)
 
 
 def _with_common(report, settings, tower=None):
@@ -153,6 +153,25 @@ def _with_common(report, settings, tower=None):
 def _gamma_table(tower, N):
     """The gamma table the CLI reports: from Q_p, the base of the tower."""
     return gammamod.compute_gamma(trivial_tower(tower.p), tower, N)
+
+
+def _ramified_table(tower, N, check):
+    """The gamma table of a suite whose theorem assumes a totally ramified
+    extension of the base; any other table is refused before the check."""
+    table = _gamma_table(tower, N)
+    if not table.is_totally_ramified():
+        raise NotSubtower("%s requires a totally ramified table" % check)
+    return table
+
+
+def _generators_within(q, N, weight_bound):
+    """min(N, the largest n with q^n - 1 <= weight_bound): no monomial of
+    weight at most the bound names a generator above it, so a report read
+    in those weights alone is the same for every N from there on."""
+    n = 0
+    while n < N and q ** (n + 1) - 1 <= weight_bound:
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +201,7 @@ def suite_unramified(tower, N, settings):
 def suite_low_degree(tower, N, settings):
     """gamma(v_1), gamma(v_2) against the closed low-degree formulas for a
     totally ramified extension of the base."""
-    table = _gamma_table(tower, max(N, 2))
+    table = _ramified_table(tower, max(N, 2), "low-degree check")
     from .numberring import embed
 
     pi_a = embed(table.source.uniformizer(), tower)
@@ -208,9 +227,19 @@ def suite_low_degree(tower, N, settings):
 
 
 def suite_rational_iso(tower, N, settings):
-    table = _gamma_table(tower, N)
+    _ramified_table(tower, N, "rational isomorphism check")
     wb = settings["weight_bound"]
     weight_bound = tower.q ** 3 - 1 if wb is None else wb
+    return _rational_iso_report(tower, _generators_within(tower.q, N, weight_bound),
+                                weight_bound)
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_iso_report(tower, N, weight_bound):
+    """The rational-iso report, once per process for each equal tower, N
+    (see _generators_within) and bound; it names no tower, and callers must
+    not change it."""
+    table = _gamma_table(tower, N)
     weights = {}
     passed = True
     for w in range(weight_bound + 1):
@@ -230,7 +259,7 @@ def suite_rational_iso(tower, N, settings):
 
 
 def suite_kappa(tower, N, settings):
-    table = _gamma_table(tower, N)
+    table = _ramified_table(tower, N, "kappa congruence")
     n = table.e_rel
     results = []
     passed = True
@@ -256,10 +285,17 @@ def suite_eventual_division(tower, N, settings):
 
 
 def suite_ordering(tower, N, settings):
-    table = _gamma_table(tower, N)
+    _ramified_table(tower, N, "order preservation check")
     wb = settings["weight_bound"]
     weight_bound = 2 * (tower.q ** 2 - 1) if wb is None else wb
-    return gammamod.order_preservation_check(table, 100, weight_bound, seed=settings["seed"])
+    return _ordering_report(tower, _generators_within(tower.q, N, weight_bound),
+                            weight_bound, settings["seed"])
+
+
+@functools.lru_cache(maxsize=None)
+def _ordering_report(tower, N, weight_bound, seed):
+    """The ordering report, cached as _rational_iso_report is."""
+    return gammamod.order_preservation_check(_gamma_table(tower, N), 100, weight_bound, seed=seed)
 
 
 VERIFY_SUITES = {
@@ -472,7 +508,8 @@ def build_parser():
 # process.  A fresh interpreter starts with all of them empty, and
 # tools/workcount.py clears them between jobs to count as one does.
 PROCESS_CACHES = (log_entries, trivial_tower, gammamod.gamma_images,
-                  gammamod._division_scan, _tower, build_parser)
+                  gammamod._division_scan, _monomials_of_weight, _tower,
+                  _rational_iso_report, _ordering_report, build_parser)
 
 
 def run_command(argv):

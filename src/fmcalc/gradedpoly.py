@@ -13,6 +13,7 @@ beats v_1^n * v_2 for every n.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -150,14 +151,16 @@ class PolyRing:
 class GradedPoly:
     """Sparse polynomial: map from monomial to nonzero coefficient.  A
     polynomial is not changed after it is built, so its leading term is
-    taken once (see leading_term)."""
+    taken once (see leading_term) and its terms are serialized once (see
+    to_json)."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_json")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
         self._lead = None
+        self._json = None
 
     # -- structure ---------------------------------------------------------
 
@@ -228,7 +231,9 @@ class GradedPoly:
         partial product accumulates into an integer vector under a dense
         exponent key.  Each output term is then divided by den_a * den_b * ds
         once (for residues, reduced mod p as `residue` does) and its key
-        turned back into a monomial, in first-seen order."""
+        turned back into a monomial, in first-seen order.  A square takes each
+        pair of terms i < j once, with term j doubled (Monagan & Pearce, CASC
+        2012); the key of (j, i) is first seen at (i, j), so the order holds."""
         if isinstance(other, (int, Fraction, FieldElement, ResidueElement)):
             return self.scale(other)
         self._check(other)
@@ -248,11 +253,14 @@ class GradedPoly:
         den_a, a_terms = _over_common_den(a_poly)
         den_b, b_terms = _over_common_den(b_poly)
         b_dense = [(dense(m2), b) for m2, b in b_terms]
+        square = other is self
+        if square:
+            twice = [(e2, [2 * x for x in b]) for e2, b in b_dense]
         out = {}
-        for m1, a in a_terms:
+        for i, (m1, a) in enumerate(a_terms):
             e1 = dense(m1)
             rows = mul_rows(T, a)
-            for e2, b in b_dense:
+            for e2, b in [b_dense[i]] + twice[i + 1:] if square else b_dense:
                 key = tuple(map(add, e1, e2))
                 acc = out.get(key)
                 if acc is None:
@@ -300,12 +308,12 @@ class GradedPoly:
 
     def to_json(self, N):
         """Canonical JSON, recording the bound N of the table, log or
-        module the polynomial belongs to."""
-        terms = []
-        for m, c in self.sorted_terms():
-            coeff = c.to_json()
-            terms.append({"exps": {str(n): a for n, a in m}, "coeff": coeff})
-        return {"terms": terms, "q": self.ring.q, "N": N}
+        module the polynomial belongs to.  The term dicts are built on the
+        first call and shared by later ones, each in a new list."""
+        if self._json is None:
+            self._json = [{"exps": {str(n): a for n, a in m}, "coeff": c.to_json()}
+                          for m, c in self.sorted_terms()]
+        return {"terms": list(self._json), "q": self.ring.q, "N": N}
 
     @staticmethod
     def from_json(ring, obj):
@@ -480,18 +488,24 @@ def reduce_mod_ideal(f, n):
 
 def monomials_of_weight(q, N, w):
     """All monomials in v_1..v_N of weight exactly w (grading q), sorted
-    descending in the monomial order: the exponent of v_N from the largest
-    down, each followed by the monomials of v_1..v_{N-1} of the weight
-    left.  Every generator has positive weight, so no monomial of weight w
-    extends another."""
+    descending in the monomial order, in a new list."""
+    return list(_monomials_of_weight(q, N, w))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials_of_weight(q, N, w):
+    """monomials_of_weight as a tuple, enumerated once per process: the
+    exponent of v_N from the largest down, each followed by the monomials
+    of v_1..v_{N-1} of the weight left.  Every generator has positive
+    weight, so no monomial of weight w extends another."""
     if N == 0:
-        return [ONE_MONOMIAL] if w == 0 else []
+        return (ONE_MONOMIAL,) if w == 0 else ()
     wn = q ** N - 1
     out = []
     for a in range(w // wn, -1, -1):
         top = ((N, a),) if a else ()
-        out += [m + top for m in monomials_of_weight(q, N - 1, w - a * wn)]
-    return out
+        out += [m + top for m in _monomials_of_weight(q, N - 1, w - a * wn)]
+    return tuple(out)
 
 
 def graded_basis(ring, N, weight_bound):

@@ -591,7 +591,14 @@ class FieldElement:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
-        return [[format_rational(c) for c in row] for row in self.coords]
+        """Rows of coordinate strings, as format_rational writes them, read
+        from the numerators with one gcd per coordinate."""
+        f, den = self.tower.f, self.den
+        out = []
+        for n in self.nums:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else "%d/%d" % (n // g, den // g))
+        return [out[j : j + f] for j in range(0, len(out), f)]
 
     @staticmethod
     def from_json(tower, obj):

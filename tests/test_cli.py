@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from fmcalc import cli, gamma, modp
 from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
 from fmcalc.numberring import TowerDescriptor
@@ -161,6 +163,54 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "ordering", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "2", "--f", "1", "--unram", "1,1,1"],
+        ["--p", "2", "--f", "2", "--unram", "1,1"],
+        ["--p", "2", "--e", "3", "--eis=-2,0,1"],
+        ["--p", "3", "--e", "1", "--eis", "3,0,1"],
+    ], ids=["f-below-unram", "f-above-unram", "e-above-eis", "e-below-eis"])
+    def test_degree_contradicting_its_polynomial_refused(self, capsys, argv):
+        code, out, err = run(capsys, "tower", "check", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+
+    def test_config_degree_contradicting_its_polynomial_refused(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p": 2, "f": 3, "unram": [1, 1, 1]}))
+        code, out, err = run(capsys, "tower", "check", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "fmcalc: error: f = 3, but the unram polynomial has degree 2\n"
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["--unram", "1,1,1"], ["--f", "2"]),
+        (["--f", "2", "--unram", "1,1,1"], ["--f", "2"]),
+        (["--eis=-2,0,1"], ["--e", "2"]),
+        (["--e", "2", "--eis=-2,0,1"], ["--e", "2"]),
+    ], ids=["unram-alone", "unram-with-f", "eis-alone", "eis-with-e"])
+    def test_polynomial_sets_its_degree(self, capsys, argv, same_as):
+        # Without f (e) the polynomial's degree decides; a first coefficient
+        # below zero is written --eis=-2,0,1, which argparse reads as a value.
+        by_poly = run(capsys, "tower", "check", "--p", "2", *argv)
+        assert by_poly == run(capsys, "tower", "check", "--p", "2", *same_as)
+        assert by_poly[0] == 0
+
+    def test_composite_p_with_f_refused(self, capsys):
+        code, out, err = run(capsys, "tower", "check", "--p", "4", "--f", "2")
+        assert (code, out, err) == (1, "", "fmcalc: NotPrime: 4 is not prime\n")
+
+    @pytest.mark.parametrize("suite, check", [
+        ("low-degree", "low-degree check"),
+        ("rational-iso", "rational isomorphism check"),
+        ("kappa", "kappa congruence"),
+        ("ordering", "order preservation check"),
+    ])
+    @pytest.mark.parametrize("tower", [["--f", "2"], ["--f", "2", "--e", "2"]],
+                             ids=["unramified", "mixed"])
+    def test_suite_refuses_a_table_not_totally_ramified(self, capsys, suite, check, tower):
+        code, out, err = run(capsys, "verify", suite, "--p", "2", *tower, "--N", "2")
+        assert (code, out) == (1, "")
+        assert err == "fmcalc: NotSubtower: %s requires a totally ramified table\n" % check
 
     @pytest.mark.parametrize("cfg", [{"N": 2.0, "seed": "3"}, {"N": "2", "seed": 3.0}],
                              ids=["integral-float", "integer-text"])
@@ -423,6 +473,64 @@ def test_session_reuses_towers_images_and_scans_across_N(capsys, tmp_path, monke
     labels = [json.loads(out)["tower"]["label"] for _, out in results[-2:]]
     assert labels == ["p=2,f=1,e=2", "sqrt2"]
     assert results == [run_alone(argv) for argv in session]
+
+
+def test_session_searches_each_default_polynomial_once(capsys, monkeypatch):
+    calls = []
+    search = modp.smallest_irreducible
+    monkeypatch.setattr(modp, "smallest_irreducible",
+                        lambda p, n: calls.append((p, n)) or search(p, n))
+    cli._tower.cache_clear()
+    results = [run(capsys, "tower", "check", "--p", "2", "--f", "2") for _ in range(10)]
+    assert calls == [(2, 2)]
+    assert results == [results[0]] * 10 and results[0][0] == 0
+
+
+def _perfbench_workloads():
+    path = SRC.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_weight_bounded_reports_match_fresh_runs(capsys, monkeypatch):
+    # `verify rational-iso` and `verify ordering` read only the generators
+    # v_n with q^n - 1 <= their weight bound, and one process computes each
+    # report once for the largest such n <= N.  On every verify-session
+    # tower, at N = 0 up to one past the benchmark's, first in ascending and
+    # then in descending order, each warm call prints what the report
+    # computed at N itself prints, with every cache but the gamma images
+    # (see the test above) and the parser emptied.  At a sample, a fresh
+    # interpreter prints the same.
+    monkeypatch.delenv("FMCALC_CONFIG", raising=False)
+    wl = _perfbench_workloads()
+    bounds = [[], ["--weight-bound", "0"], ["--weight-bound", "7"], ["--weight-bound", "26"]]
+    argvs = []
+    for label, n_max in wl.SESSION_TOWERS.items():
+        for N in range(n_max + 2):
+            base = wl.TOWERS[label] + ["--N", str(N)]
+            argvs += [["verify", "rational-iso", *base, *bound] for bound in bounds]
+            argvs += [["verify", "ordering", *base, "--seed", "0"]]
+            argvs += [["verify", "ordering", *base, "--seed", "3", *bound] for bound in bounds]
+    warm = [run(capsys, *argv)[:2] for argv in argvs + argvs[::-1]]
+    fresh = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_generators_within", lambda q, N, weight_bound: N)
+        for argv in argvs:
+            for cache in cli.PROCESS_CACHES:
+                if cache not in (gamma.gamma_images, cli.build_parser):
+                    cache.cache_clear()
+            fresh[tuple(argv)] = run(capsys, *argv)[:2]
+    assert warm == [fresh[tuple(argv)] for argv in argvs + argvs[::-1]]
+    assert {code for code, _ in warm} == {0, 1}
+    sample = [
+        ["verify", "rational-iso", "--p", "3", "--e", "3", "--N", "5"],
+        ["verify", "ordering", "--p", "2", "--e", "2", "--N", "6", "--seed", "3",
+         "--weight-bound", "7"],
+        ["verify", "rational-iso", "--p", "2", "--f", "2", "--N", "3"],
+    ]
+    assert [fresh[tuple(argv)] for argv in sample] == [run_alone(argv) for argv in sample]
 
 
 def test_gamma_cold_start_loads_only_what_it_runs():

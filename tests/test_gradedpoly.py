@@ -276,6 +276,15 @@ class TestSerialization:
         exps = [t["exps"] for t in data["terms"]]
         assert exps == [{"2": 2}, {"1": 9, "2": 1}, {"1": 1}]
 
+    def test_changing_a_returned_term_list_leaves_the_next_unchanged(self, ring):
+        # Later calls share the serialized terms, each in a new list.
+        f = ring.gen(1) + ring.gen(2) ** 2
+        first = f.to_json(N)
+        first["terms"].reverse()
+        first["terms"].append({"exps": {}, "coeff": [["1"]]})
+        assert f.to_json(N) == GradedPoly(ring, dict(f.terms)).to_json(N)
+        assert f.to_json(N)["terms"] is not f.to_json(N)["terms"]
+
     def test_roundtrip(self, ring):
         f = ring.gen(2) ** 2 + ring.gen(1).scale(Fraction(1, 2))
         assert GradedPoly.from_json(ring, f.to_json(N)) == f

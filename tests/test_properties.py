@@ -1,7 +1,8 @@
 """Property tests of the exact-arithmetic layer: the integer-numerator
 representation, the multiplication kernel against the polynomial-reduction
 reference, inverses against Gauss-Jordan elimination over Q, the
-closed-form valuation, graded products and single-monomial shifts, gamma
+closed-form valuation, coordinate serialization, graded products, squares
+and single-monomial shifts, gamma
 as a ring map and its memoized monomial images, multivariate division,
 the remainders of successive powers and the monomial order, the monomials
 of one weight, normal forms modulo Groebner bases over F_p and the
@@ -45,6 +46,7 @@ from fmcalc.numberring import (
     TowerDescriptor,
     _basis_mul,
     embed,
+    format_rational,
     is_integral,
     padic_valuation_rational,
     residue,
@@ -147,6 +149,15 @@ def test_coords_round_trip_and_scaled_numerators(args, k):
     ):
         assert (z.nums, z.den) == (x.nums, x.den)
         assert z == x and hash(z) == hash(x)
+
+
+@PROPERTY_SETTINGS
+@given(tower_and_elements(1))
+def test_to_json_formats_each_coordinate(args):
+    # to_json reads the numerators; the Fraction rows of coords are its oracle.
+    tower, x = args
+    for z in (x, -x, tower.zero()):
+        assert z.to_json() == [[format_rational(c) for c in row] for row in z.coords]
 
 
 @PROPERTY_SETTINGS
@@ -268,6 +279,20 @@ def test_graded_product_with_skipped_generators():
         assert monomial({1: 1, 2: 1, 5: 4}) in expected
         assert list(product.terms) == list(expected)
         assert product.terms == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_square_matches_the_termwise_product(data):
+    # A square takes each unordered pair of terms once; its terms, in their
+    # order, are those of the product term by term, for field and residue
+    # coefficients.
+    T = data.draw(st.sampled_from(TOWERS))
+    for ring, coeffs in ((PolyRing(T), elements(T)), (PolyRing(T, "residue"), residues(T))):
+        f = data.draw(polys(ring, coeffs, 5))
+        square, expected = f * f, _termwise_product(f, f)
+        assert list(square.terms) == list(expected), ring
+        assert square.terms == expected, ring
 
 
 @PROPERTY_SETTINGS

@@ -1,4 +1,4 @@
-"""Smoke tests of tools/workcount.py on slices of gamma-cold and torsion-batch."""
+"""Smoke tests of tools/workcount.py on slices of all three workloads."""
 
 import importlib.util
 import pathlib
@@ -59,3 +59,22 @@ def test_workcount_reports_torsion_normal_forms(tmp_path):
     # Each normal form is one division; Groebner completion takes the rest.
     assert 0 < rows["torsion.normal_form"] < rows["gradedpoly._reduce"]
     assert rows["torsion.normal_form"] < 50
+
+
+def test_workcount_reports_session_reuse(tmp_path):
+    # The first 40 seed-1 verify-session jobs run Q3(x^3-3) at N = 2..4 and
+    # then Q3(f=2) at N = 2..5.  One process searches the f = 2 tower's
+    # default polynomial once.  It asks for the weight bases of two
+    # rational-iso reports, each over weights 0..26 (v_1, v_2 at N = 2, and
+    # v_1..v_3 from N = 3 on), and of one ordering report over weights 0..16
+    # (v_1, v_2 at every N).
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["verify-session"](1)[:40]
+    assert {job["size"]["tower"] for job in jobs} == {"Q3(x^3-3)", "Q3(f=2)"}
+    for cache in wc.cli.PROCESS_CACHES:
+        cache.cache_clear()
+    stats, nonzero, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
+    assert (nonzero, raised) == (0, 0)
+    rows = {name: calls for name, _, calls in wc.named_counts(stats, wc.DEFAULT_NAMES)}
+    assert rows["modp.smallest_irreducible"] == 1
+    assert rows["gradedpoly.monomials_of_weight"] == 2 * 27 + 17

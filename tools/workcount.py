@@ -10,9 +10,12 @@ numberring.inverse.  Each function of that name in that module gets its own
 line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic, `numberring` inverses, graded products
 (`GradedPoly.__mul__`), the constructors in `gradedpoly`, one line for
-`PolyRing.__init__` and one for `GradedPoly.__init__`, and the normal forms
+`PolyRing.__init__` and one for `GradedPoly.__init__`, the normal forms
 over F_p (`torsion.normal_form`) and divisions (`gradedpoly._reduce`) that
-torsion-batch's obstruct jobs take.
+torsion-batch's obstruct jobs take, and the default-polynomial searches
+(`modp.smallest_irreducible`) and weight-basis requests
+(`gradedpoly.monomials_of_weight`) that a verify-session process repeats
+unless it reuses them.
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
 every cache in fmcalc.cli.PROCESS_CACHES is cleared between jobs here.
@@ -39,7 +42,8 @@ from fmcalc import cli  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
                  "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__",
-                 "torsion.normal_form", "gradedpoly._reduce"]
+                 "torsion.normal_form", "gradedpoly._reduce", "modp.smallest_irreducible",
+                 "gradedpoly.monomials_of_weight"]
 
 
 def profile_jobs(job_argvs, fresh_caches):
