@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import gamma as gammamod
 from . import modp
-from .errors import ConfigParseError, FmcalcError, NotSubtower, UsageError
+from .errors import ConfigParseError, FmcalcError, UsageError
 from .formal import hazewinkel_log, log_closed_form, log_entries, trivial_tower
 from .gradedpoly import _monomials_of_weight
 from .numberring import (
@@ -155,15 +155,6 @@ def _gamma_table(tower, N):
     return gammamod.compute_gamma(trivial_tower(tower.p), tower, N)
 
 
-def _ramified_table(tower, N, check):
-    """The gamma table of a suite whose theorem assumes a totally ramified
-    extension of the base; any other table is refused before the check."""
-    table = _gamma_table(tower, N)
-    if not table.is_totally_ramified():
-        raise NotSubtower("%s requires a totally ramified table" % check)
-    return table
-
-
 def _generators_within(q, N, weight_bound):
     """min(N, the largest n with q^n - 1 <= weight_bound): no monomial of
     weight at most the bound names a generator above it, so a report read
@@ -201,7 +192,7 @@ def suite_unramified(tower, N, settings):
 def suite_low_degree(tower, N, settings):
     """gamma(v_1), gamma(v_2) against the closed low-degree formulas for a
     totally ramified extension of the base."""
-    table = _ramified_table(tower, max(N, 2), "low-degree check")
+    table = _gamma_table(tower, max(N, 2)).totally_ramified("low-degree check")
     from .numberring import embed
 
     pi_a = embed(table.source.uniformizer(), tower)
@@ -227,7 +218,7 @@ def suite_low_degree(tower, N, settings):
 
 
 def suite_rational_iso(tower, N, settings):
-    _ramified_table(tower, N, "rational isomorphism check")
+    _gamma_table(tower, N).totally_ramified("rational isomorphism check")
     wb = settings["weight_bound"]
     weight_bound = tower.q ** 3 - 1 if wb is None else wb
     return _rational_iso_report(tower, _generators_within(tower.q, N, weight_bound),
@@ -259,7 +250,7 @@ def _rational_iso_report(tower, N, weight_bound):
 
 
 def suite_kappa(tower, N, settings):
-    table = _ramified_table(tower, N, "kappa congruence")
+    table = _gamma_table(tower, N).totally_ramified("kappa congruence")
     n = table.e_rel
     results = []
     passed = True
@@ -285,9 +276,14 @@ def suite_eventual_division(tower, N, settings):
 
 
 def suite_ordering(tower, N, settings):
-    _ramified_table(tower, N, "order preservation check")
     wb = settings["weight_bound"]
     weight_bound = 2 * (tower.q ** 2 - 1) if wb is None else wb
+    # Below these limits the one monomial to sample is 1 (see
+    # _generators_within), and a pass would compare nothing.
+    if N == 0 or weight_bound < tower.q - 1:
+        raise UsageError("verify ordering needs N >= 1 and a weight bound >= q - 1 = %d"
+                         % (tower.q - 1))
+    _gamma_table(tower, N).totally_ramified("order preservation check")
     return _ordering_report(tower, _generators_within(tower.q, N, weight_bound),
                             weight_bound, settings["seed"])
 
@@ -344,8 +340,6 @@ def parse_poly_string(text):
 
 
 def cmd_tower(args, settings):
-    if args.action != "check":
-        raise UsageError("unknown tower action %r" % args.action)
     tower = resolve_tower(settings)
     report = _with_common(
         {
@@ -473,34 +467,19 @@ def build_parser():
     # subcommand name they are refused, not overwritten by its defaults.
     parser = _Parser(prog="fmcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    ptower = sub.add_parser("tower", parents=[common])
-    ptower.add_argument("action", choices=("check",))
-    ptower.set_defaults(func=cmd_tower)
-
-    plog = sub.add_parser("log", parents=[common])
-    plog.set_defaults(func=cmd_log)
-
-    pgamma = sub.add_parser("gamma", parents=[common])
-    pgamma.set_defaults(func=cmd_gamma)
-
-    pverify = sub.add_parser("verify", parents=[common])
-    pverify.add_argument("suite", choices=VERIFY_SUITES)
-    pverify.set_defaults(func=cmd_verify)
-
-    pobstruct = sub.add_parser("obstruct", parents=[common])
-    pobstruct.add_argument("module_spec")
-    pobstruct.set_defaults(func=cmd_obstruct)
-
-    psplit = sub.add_parser("splitting", parents=[common])
-    psplit.add_argument("poly")
-    psplit.add_argument("--pmax", type=int, default=100)
-    psplit.set_defaults(func=cmd_splitting)
-
-    plocal = sub.add_parser("localcoh", parents=[common])
-    plocal.add_argument("matrices")
-    plocal.set_defaults(func=cmd_localcoh)
-
+    for name, func, arguments in (
+        ("tower", cmd_tower, [("action", {"choices": ("check",)})]),
+        ("log", cmd_log, []),
+        ("gamma", cmd_gamma, []),
+        ("verify", cmd_verify, [("suite", {"choices": VERIFY_SUITES})]),
+        ("obstruct", cmd_obstruct, [("module_spec", {})]),
+        ("splitting", cmd_splitting, [("poly", {}), ("--pmax", {"type": int, "default": 100})]),
+        ("localcoh", cmd_localcoh, [("matrices", {})]),
+    ):
+        subparser = sub.add_parser(name, parents=[common])
+        for argument, options in arguments:
+            subparser.add_argument(argument, **options)
+        subparser.set_defaults(func=func)
     return parser
 
 

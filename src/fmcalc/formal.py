@@ -29,9 +29,6 @@ class LogCoefficients(ReadOnly):
     def __getitem__(self, n):
         return self.entries[n]
 
-    def __len__(self):
-        return len(self.entries)
-
     def to_json(self):
         N = len(self.entries) - 1
         return {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import CongruenceFailed, IntegralityFailure, MissingImage, NotSubtower
+from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
 from .formal import hazewinkel_log
 from .gradedpoly import (
     GradedPoly,
@@ -40,9 +40,9 @@ class GammaTable(ReadOnly):
     `monomials` holds gamma(m) of each source monomial m evaluated so far
     (see monomial_image).  Equality and hashing ignore it, and tables over
     equal towers share it at every N, so it may hold monomials in
-    generators above this table's N; the table refuses those itself.
-    compute_gamma builds a table only after every image has passed its
-    integrality check."""
+    generators above this table's N; monomial_image refuses those, as
+    `images` ends at v_N.  compute_gamma builds a table only after every
+    image has passed its integrality check."""
 
     __slots__ = ("source", "target", "N", "images", "f_rel", "e_rel", "target_ring",
                  "monomials")
@@ -67,31 +67,24 @@ class GammaTable(ReadOnly):
     def image(self, n):
         return self.images[n]
 
-    def is_totally_ramified(self):
-        return self.f_rel == 1 and self.e_rel > 1
+    def totally_ramified(self, check):
+        """This table, when its extension of the source is totally
+        ramified; else NotSubtower, naming the check that needs one."""
+        if self.f_rel == 1 and self.e_rel > 1:
+            return self
+        raise NotSubtower("%s requires a totally ramified table" % check)
 
     def is_unramified(self):
         return self.e_rel == 1 and self.f_rel > 1
 
-    def _generator_images(self, monomials):
-        """{n: gamma(v_n)} for n <= N, once no monomial names a generator
-        above N: the shared memo may already hold such a monomial."""
-        for m in monomials:
-            for n, _ in m:
-                if n > self.N:
-                    raise MissingImage("no image for generator v_%d" % n)
-        return dict(enumerate(self.images[1:], 1))
-
     def apply(self, f):
         """Evaluate gamma (coefficient-embedded) on a source polynomial."""
-        images = self._generator_images(f.terms)
-        return apply_ring_map(f, self.target_ring, images, self.monomials)
+        return apply_ring_map(f, self.target_ring, self.images, self.monomials)
 
     def monomial_image(self, m):
         """gamma(m) for a source monomial m, built once per pair of towers;
         the result is shared, so callers must not change its terms."""
-        images = self._generator_images((m,))
-        return monomial_image(m, self.target_ring, images, self.monomials)
+        return monomial_image(m, self.target_ring, self.images, self.monomials)
 
     def to_json(self):
         return {
@@ -204,9 +197,7 @@ def kappa_congruence(table, j):
     """Verify gamma(v_{jn}) = (pi_A/pi_B^n) v_j^{(q^{jn}-1)/(q^j-1)} modulo
     (pi_B, v_1, ..., v_{j-1}) for a totally ramified extension of relative
     degree n, and minimality: gamma(v_h) = 0 mod the ideal for h < jn."""
-    if not table.is_totally_ramified():
-        raise NotSubtower("kappa congruence requires a totally ramified table")
-    n = table.e_rel
+    n = table.totally_ramified("kappa congruence").e_rel
     q = table.source.q
     h = j * n
     if h > table.N:
@@ -322,18 +313,20 @@ def _division_scan(g_n, g_next, p, n, m_max):
             powers[m] = power(m // p) ** p if m % p == 0 else power(m - 1) * g_next
         return powers[m]
 
+    # At n = 1 the scan also looks for the first g_next^m zero modulo the
+    # uniformizer.  I_1 = (p) lies in (pi), so it finds one no later than
+    # the first g_next^m in I_1.
     outcome = {}
-    if n == 1:
-        mod_pi = None
-        for m in _powers_of_p_up_to(p, m_max):
-            if reduce_mod_ideal(power(m), n).is_zero():
-                mod_pi = m
-                break
-        outcome["zero_case_mod_uniformizer"] = mod_pi
+    looking = n == 1
     for m in _powers_of_p_up_to(p, m_max):
+        if looking and reduce_mod_ideal(power(m), n).is_zero():
+            outcome["zero_case_mod_uniformizer"] = m
+            looking = False
         if in_ideal_In(power(m), n):
             outcome.update({"found": True, "case": "zero", "m": m, "y": "0"})
             return outcome, None
+    if looking:
+        outcome["zero_case_mod_uniformizer"] = None
     # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
     divisions = _power_divisions(g_next, g_n) if g_n else (
         (g_n, power(m)) for m in range(1, m_max + 1)
@@ -349,8 +342,7 @@ def _division_scan(g_n, g_next, p, n, m_max):
 def order_preservation_check(table, sample_size, weight_bound, seed=0):
     """Sampled check that the monomial order is preserved at the level of
     leading monomials, and that no monomial maps to zero."""
-    if not table.is_totally_ramified():
-        raise NotSubtower("order preservation check requires a totally ramified table")
+    table.totally_ramified("order preservation check")
     import random
 
     rng = random.Random(seed)

@@ -427,11 +427,15 @@ def divide(f, divisors):
 
 
 def monomial_image(m, ring, images, memo):
-    """Image of the monomial m under v_n -> images[n], polynomials over
-    `ring`, held in `memo` (a dict from monomials to images, for these
-    images only).  For m's last factor v_n^a and the rest m',
+    """Image of the monomial m under v_n -> images[n] (images[0] is unused),
+    a polynomial over `ring`, held in `memo`: a dict from monomials to
+    images, which may also hold monomials in generators past the end of
+    `images`.  Such a generator raises MissingImage; m's last factor holds
+    its largest.  For that factor v_n^a and the rest m',
     image(m) = image(m') * image(v_n^a), and
     image(v_n^a) = image(v_n^(a-1)) * images[n]: one product per new entry."""
+    if m and m[-1][0] >= len(images):
+        raise MissingImage("no image for generator v_%d" % m[-1][0])
     img = memo.get(m)
     if img is None:
         if len(m) > 1:
@@ -440,8 +444,6 @@ def monomial_image(m, ring, images, memo):
             )
         elif not m:
             img = ring.one()
-        elif m[0][0] not in images:
-            raise MissingImage("no image for generator v_%d" % m[0][0])
         else:
             (n, a), = m
             k = a - 1  # the highest power of v_n held, or 0
@@ -456,8 +458,9 @@ def monomial_image(m, ring, images, memo):
 
 def apply_ring_map(f, ring, images, memo):
     """Substitute v_n -> images[n], polynomials over the target `ring`, and
-    embed coefficients into its tower.  `memo` holds the monomial images
-    (see monomial_image).  Only a term whose embedded coefficient is not 1
+    embed coefficients into its tower.  `images` is indexed by generator
+    (images[0] is unused), and `memo` holds the monomial images (see
+    monomial_image).  Only a term whose embedded coefficient is not 1
     is scaled.
     """
     one = ring.coeff_one()

@@ -24,13 +24,6 @@ def deg(f):
     return len(f) - 1
 
 
-def add(f, g, p):
-    n = max(len(f), len(g))
-    f = f + (0,) * (n - len(f))
-    g = g + (0,) * (n - len(g))
-    return trim((a + b) % p for a, b in zip(f, g))
-
-
 def sub(f, g, p):
     n = max(len(f), len(g))
     f = f + (0,) * (n - len(f))
@@ -219,10 +212,6 @@ def fq_reduce(vec, gbar, p):
 
 def fq_mul(a, b, gbar, p):
     return fq_reduce(mul(a, b, p), gbar, p)
-
-
-def fq_neg(a, p):
-    return trim((-c) % p for c in a)
 
 
 def fq_inv(a, gbar, p):

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import modp
 from .errors import (
@@ -657,7 +658,9 @@ def residue(z):
 
 
 class ResidueElement(ReadOnly):
-    """Element of the residue field F_q, as a vector over F_p modulo gbar."""
+    """Element of the residue field F_q, as a vector over F_p modulo gbar.
+    The constructor reduces any integer vector mod p and mod gbar, so the
+    arithmetic below hands it unreduced vectors."""
 
     __slots__ = ("tower", "vec")
 
@@ -688,26 +691,22 @@ class ResidueElement(ReadOnly):
 
     def __add__(self, other):
         self._check(other)
-        return ResidueElement(self.tower, modp.add(self.vec, other.vec, self.tower.p))
+        pairs = zip_longest(self.vec, other.vec, fillvalue=0)
+        return ResidueElement(self.tower, [a + b for a, b in pairs])
 
     def __sub__(self, other):
         self._check(other)
-        return self + (-other)
+        pairs = zip_longest(self.vec, other.vec, fillvalue=0)
+        return ResidueElement(self.tower, [a - b for a, b in pairs])
 
     def __neg__(self):
-        return ResidueElement(self.tower, modp.fq_neg(self.vec, self.tower.p))
+        return ResidueElement(self.tower, [-c for c in self.vec])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return ResidueElement(
-                self.tower, modp.scalar_mul(other, self.vec, self.tower.p)
-            )
         self._check(other)
         return ResidueElement(
             self.tower, modp.fq_mul(self.vec, other.vec, self.tower.gbar, self.tower.p)
         )
-
-    __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():

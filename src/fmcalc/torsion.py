@@ -190,12 +190,9 @@ def groebner_basis(gens, degree_bound):
         r = remainder(b, others) if others else b
         if not r.is_zero():
             reduced.append(_monic(r))
-    seen = []
-    for b in reduced:
-        if b not in seen:
-            seen.append(b)
-    seen.sort(key=lambda b: monomial_key(leading_term(b)[0]))
-    return GroebnerBasis(seen, truncated)
+    basis = list(dict.fromkeys(reduced))
+    basis.sort(key=lambda b: monomial_key(leading_term(b)[0]))
+    return GroebnerBasis(basis, truncated)
 
 
 def module_groebner(module, degree_bound=None):

@@ -382,11 +382,17 @@ class TestCommands:
         assert {w: r["basis_size"] for w, r in rep["weights"].items()} == {
             str(w): int(w == 0) for w in range(8)}
 
-    def test_verify_ordering_at_N_0(self, capsys):
-        code, out, _ = run(capsys, "verify", "ordering", "--p", "2", "--e", "2", "--N", "0")
-        rep = json.loads(out)
-        assert code == 0 and rep["passed"]
-        assert rep["checked"] == 100 and rep["vanishing_monomials"] == []
+    @pytest.mark.parametrize("argv, q", [
+        (["--p", "2", "--e", "2", "--N", "0"], 2),
+        (["--p", "2", "--e", "2", "--N", "2", "--weight-bound", "0"], 2),
+        (["--p", "3", "--e", "2", "--N", "3", "--weight-bound", "1"], 3),
+    ], ids=["N-0", "p2-bound-0", "p3-bound-1"])
+    def test_verify_ordering_refuses_a_pool_of_one_monomial(self, capsys, argv, q):
+        # Each would sample the monomial 1 alone and pass comparing nothing.
+        code, out, err = run(capsys, "verify", "ordering", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("fmcalc: error: verify ordering needs N >= 1 and a weight bound "
+                       ">= q - 1 = %d\n" % (q - 1))
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "tower", "check", "--p", "2",
@@ -523,7 +529,11 @@ def test_weight_bounded_reports_match_fresh_runs(capsys, monkeypatch):
                     cache.cache_clear()
             fresh[tuple(argv)] = run(capsys, *argv)[:2]
     assert warm == [fresh[tuple(argv)] for argv in argvs + argvs[::-1]]
-    assert {code for code, _ in warm} == {0, 1}
+    assert {code for code, _ in warm} == {0, 1, 2}
+    # `verify ordering` at N = 0 or bound 0 would sample the monomial 1 alone.
+    pool_of_one = [argv for argv in argvs if argv[1] == "ordering" and (
+        argv[argv.index("--N") + 1] == "0" or argv[-2:] == ["--weight-bound", "0"])]
+    assert all(fresh[tuple(argv)] == (2, "") for argv in pool_of_one)
     sample = [
         ["verify", "rational-iso", "--p", "3", "--e", "3", "--N", "5"],
         ["verify", "ordering", "--p", "2", "--e", "2", "--N", "6", "--seed", "3",

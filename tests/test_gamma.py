@@ -270,3 +270,14 @@ class TestOrderPreservation:
         a = gm.order_preservation_check(table, 40, 6, seed=9)
         b = gm.order_preservation_check(table, 40, 6, seed=9)
         assert a == b
+
+
+@pytest.mark.parametrize("check, run", [
+    ("kappa congruence", lambda table: gm.kappa_congruence(table, 1)),
+    ("order preservation check", lambda table: gm.order_preservation_check(table, 10, 6)),
+], ids=["kappa", "ordering"])
+def test_checks_refuse_a_table_not_totally_ramified(q2, unram2_f2, check, run):
+    # The message is the one `fmcalc verify` prints for such a tower.
+    with pytest.raises(NotSubtower) as info:
+        run(gm.compute_gamma(q2, unram2_f2, 2))
+    assert str(info.value) == "%s requires a totally ramified table" % check

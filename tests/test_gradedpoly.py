@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fmcalc import gradedpoly as gp
-from fmcalc.errors import RingMismatch, TowerMismatch, ZeroPolynomial
+from fmcalc.errors import MissingImage, RingMismatch, TowerMismatch, ZeroPolynomial
 from fmcalc.formal import log_closed_form
 from fmcalc.gradedpoly import (
     GradedPoly,
@@ -169,25 +169,26 @@ class TestApplyRingMap:
     def test_single_generator(self, q2, q2_sqrt2):
         ring_a = PolyRing(q2)
         ring_b = PolyRing(q2_sqrt2)
-        images = {1: ring_b.gen(1).scale(q2_sqrt2.theta()), 2: ring_b.gen(2)}
+        images = (None, ring_b.gen(1).scale(q2_sqrt2.theta()), ring_b.gen(2))
         out = gp.apply_ring_map(ring_a.gen(1), ring_b, images, {})
         assert out == ring_b.gen(1).scale(q2_sqrt2.theta())
 
     def test_unit_preservation(self, q2, q2_sqrt2):
         ring_a = PolyRing(q2)
         ring_b = PolyRing(q2_sqrt2)
-        images = {1: ring_b.gen(1), 2: ring_b.gen(2)}
+        images = (None, ring_b.gen(1), ring_b.gen(2))
         assert gp.apply_ring_map(ring_a.one(), ring_b, images, {}) == ring_b.one()
 
     def test_homomorphism_property(self, q2, q2_sqrt2):
         rng = random.Random(4)
         ring_a = PolyRing(q2)
         ring_b = PolyRing(q2_sqrt2)
-        images = {
-            1: ring_b.gen(1).scale(q2_sqrt2.theta()),
-            2: ring_b.gen(2) + ring_b.gen(1) ** 3,
-            3: ring_b.gen(3),
-        }
+        images = (
+            None,
+            ring_b.gen(1).scale(q2_sqrt2.theta()),
+            ring_b.gen(2) + ring_b.gen(1) ** 3,
+            ring_b.gen(3),
+        )
         basis = [m for w, ms in graded_basis(ring_a, 3, 7).items() for m in ms]
 
         def rand_poly():
@@ -201,6 +202,20 @@ class TestApplyRingMap:
             assert gp.apply_ring_map(f * g, ring_b, images, {}) == gp.apply_ring_map(
                 f, ring_b, images, {}
             ) * gp.apply_ring_map(g, ring_b, images, {})
+
+    def test_generator_past_the_images_raises(self, q2, q2_sqrt2):
+        ring_a = PolyRing(q2)
+        ring_b = PolyRing(q2_sqrt2)
+        images = (None, ring_b.gen(1), ring_b.gen(2))
+        memo = {}
+        with pytest.raises(MissingImage, match="v_3"):
+            gp.monomial_image(monomial({1: 1, 3: 1}), ring_b, images, memo)
+        with pytest.raises(MissingImage, match="v_3"):
+            gp.apply_ring_map(ring_a.gen(1) + ring_a.gen(3), ring_b, images, memo)
+        # The memo may hold images of longer tuples; they are refused too.
+        gp.monomial_image(monomial({3: 1}), ring_b, images + (ring_b.gen(3),), memo)
+        with pytest.raises(MissingImage, match="v_3"):
+            gp.monomial_image(monomial({3: 1}), ring_b, images, memo)
 
 
 class TestReduceModIdeal:

@@ -229,15 +229,6 @@ class TestIntegralityValuationResidue:
         with pytest.raises(NotIntegral):
             nr.residue(t.theta() / 2)
 
-    def test_residue_is_ring_homomorphism(self):
-        rng = random.Random(7)
-        tower = nr.TowerDescriptor(2, [1, 1, 1], [0, 1])
-        for _ in range(100):
-            a = random_element(tower, rng)
-            b = random_element(tower, rng)
-            assert nr.residue(a + b) == nr.residue(a) + nr.residue(b)
-            assert nr.residue(a * b) == nr.residue(a) * nr.residue(b)
-
 
 class TestEmbed:
     def test_identity_on_one(self, q2, q2_sqrt2):

@@ -364,6 +364,31 @@ def test_monomial_images_match_products_from_scratch(pair, ms, rnd):
     assert table.to_json() == cached.to_json()
 
 
+# F_2, F_4 and F_9 unramified, and F_9 below a ramified extension.
+RESIDUE_TOWERS = [trivial_tower(2), TOWERS[2], TowerDescriptor(3, [1, 0, 1], [0, 1]), TOWERS[4]]
+
+
+def integral_elements(tower):
+    """Elements with denominators prime to p, so each has a residue."""
+    coords = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 7, 11]))
+    return st.lists(coords, min_size=tower.d, max_size=tower.d).map(
+        lambda flat: FieldElement.from_flat(tower, flat)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(RESIDUE_TOWERS), st.data())
+def test_residue_is_a_ring_homomorphism_onto_canonical_vectors(tower, data):
+    a, b = data.draw(integral_elements(tower)), data.draw(integral_elements(tower))
+    ra, rb = residue(a), residue(b)
+    for result, expected in ((ra + rb, residue(a + b)), (ra - rb, residue(a - b)),
+                             (-ra, residue(-a)), (ra * rb, residue(a * b))):
+        assert result == expected
+        vec = result.vec
+        assert all(0 <= c < tower.p for c in vec) and vec[-1:] != (0,)
+        assert len(vec) < len(tower.gbar)
+
+
 @PROPERTY_SETTINGS
 @given(tower_and_elements(2))
 def test_valuation_is_multiplicative_and_ultrametric(args):
