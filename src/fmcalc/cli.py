@@ -218,11 +218,12 @@ def suite_low_degree(tower, N, settings):
 
 
 def suite_rational_iso(tower, N, settings):
-    _gamma_table(tower, N).totally_ramified("rational isomorphism check")
     wb = settings["weight_bound"]
     weight_bound = tower.q ** 3 - 1 if wb is None else wb
-    return _rational_iso_report(tower, _generators_within(tower.q, N, weight_bound),
-                                weight_bound)
+    n_b = _generators_within(tower.q, N, weight_bound)
+    # the check reads the towers alone, so the table the report uses serves
+    _gamma_table(tower, n_b).totally_ramified("rational isomorphism check")
+    return _rational_iso_report(tower, n_b, weight_bound)
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,9 +284,9 @@ def suite_ordering(tower, N, settings):
     if N == 0 or weight_bound < tower.q - 1:
         raise UsageError("verify ordering needs N >= 1 and a weight bound >= q - 1 = %d"
                          % (tower.q - 1))
-    _gamma_table(tower, N).totally_ramified("order preservation check")
-    return _ordering_report(tower, _generators_within(tower.q, N, weight_bound),
-                            weight_bound, settings["seed"])
+    n_b = _generators_within(tower.q, N, weight_bound)
+    _gamma_table(tower, n_b).totally_ramified("order preservation check")
+    return _ordering_report(tower, n_b, weight_bound, settings["seed"])
 
 
 @functools.lru_cache(maxsize=None)

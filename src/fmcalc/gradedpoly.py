@@ -80,13 +80,6 @@ def monomial_divide(x, y):
     return tuple(sorted(out.items()))
 
 
-def monomial_lcm(x, y):
-    out = dict(x)
-    for n, a in y:
-        out[n] = max(out.get(n, 0), a)
-    return tuple(sorted(out.items()))
-
-
 def monomial_key(m):
     """Sort key of the monomial order: the (index, exponent) pairs from the
     highest index down.  Tuples compare pair by pair, so the first
@@ -278,12 +271,9 @@ class GradedPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, m, c=None):
-        """c * m * self term by term: exponents add, and each coefficient is
-        multiplied by c (left as it is when c is None)."""
-        if c is None:
-            return GradedPoly(self.ring, {monomial_mul(t, m): a for t, a in self.terms.items()})
-        return GradedPoly(self.ring, {monomial_mul(t, m): a * c for t, a in self.terms.items()})
+    def shift(self, m):
+        """m * self term by term: exponents add, coefficients stay."""
+        return GradedPoly(self.ring, {monomial_mul(t, m): a for t, a in self.terms.items()})
 
     def scale(self, c):
         if isinstance(c, int):
@@ -366,13 +356,12 @@ def leading_term(f):
     return f._lead
 
 
-def _reduce(f, divisors, quots=None):
+def _reduce(f, divisors, quots):
     """The remainder of f on division by the divisors, as a dict of terms;
-    when quots is given (one dict per divisor), each quotient term is
-    recorded in it.  Each step reduces the leading term of what is left by
-    the first divisor whose leading monomial divides it; coefficients
-    divide exactly (field or residue field).  A zero divisor raises
-    ZeroPolynomial.
+    each quotient term is recorded in quots, one dict per divisor.  Each
+    step reduces the leading term of what is left by the first divisor
+    whose leading monomial divides it; coefficients divide exactly (field
+    or residue field).  A zero divisor raises ZeroPolynomial.
 
     What is left is one dict, changed in place; a heap of its monomials
     yields the leading one, skipping monomials that have since cancelled."""
@@ -389,9 +378,7 @@ def _reduce(f, divisors, quots=None):
         for i, (lm, _, lc_inv) in enumerate(leads):
             ratio = monomial_divide(m, lm)
             if ratio is not None:
-                q = c * lc_inv
-                if quots is not None:
-                    quots[i][ratio] = q
+                q = quots[i][ratio] = c * lc_inv
                 # Subtracting q * ratio * d_i cancels the term at m; over a
                 # field no product a * q of nonzero coefficients is zero.
                 for u, a in divisors[i].terms.items():
@@ -410,11 +397,6 @@ def _reduce(f, divisors, quots=None):
             rem[m] = c
             del work[m]
     return rem
-
-
-def remainder(f, divisors):
-    """The remainder r of divide(f, divisors), without the quotients."""
-    return GradedPoly(f.ring, _reduce(f, divisors))
 
 
 def divide(f, divisors):
@@ -515,14 +497,3 @@ def graded_basis(ring, N, weight_bound):
     """All monomials in v_1..v_N of each weight <= weight_bound, per
     weight, each list sorted descending in the monomial order."""
     return {w: monomials_of_weight(ring.q, N, w) for w in range(weight_bound + 1)}
-
-
-def divide_by_var(f, n):
-    """f / v_n when every term is divisible by v_n, else None."""
-    out = {}
-    for m, c in f.terms.items():
-        q = monomial_divide(m, monomial({n: 1}))
-        if q is None:
-            return None
-        out[q] = c
-    return GradedPoly(f.ring, out)

@@ -126,7 +126,14 @@ def padic_valuation_rational(r, p):
 
 
 def parse_rational(s):
-    return Fraction(str(s))
+    """A rational from its text or number: an int when the text reads as
+    an integer (int and Fraction agree on every text int accepts), else a
+    Fraction."""
+    s = str(s)
+    try:
+        return int(s)
+    except ValueError:
+        return Fraction(s)
 
 
 def is_integer(x):
@@ -248,7 +255,8 @@ class TowerDescriptor:
         return self.from_rational(1)
 
     def from_rational(self, r):
-        r = Fraction(r)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
         nums = (r.numerator,) + (0,) * (self.d - 1)
         return FieldElement.from_numerators(self, nums, r.denominator)
 

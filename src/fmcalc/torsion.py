@@ -4,7 +4,16 @@ degreewise local cohomology at (p), and nonrealizability certificates.
 Torsion questions for a cyclic module R/J with p in J reduce to normal
 forms modulo a Groebner basis of the reduction of J over F_p, taken with
 respect to the same monomial order as everywhere else (highest generator
-index most significant).  Local cohomology reads the p-parts of the
+index most significant).  Completion, normal forms and the v_n-power scans
+run on one private format: a dict from an exponent tuple (a_W, ..., a_1),
+highest generator first, to an int in 1..p-1, so that plain tuple order is
+the monomial order, divisibility is a componentwise <=, a product of
+monomials a componentwise sum and an inverse pow(c, p - 2, p), with no
+ResidueElement and no sorted monomial built per step (dense exponent
+vectors in division as in Monagan & Pearce, CASC 2007).  GradedPolys
+appear only at the boundary: the generators are read in once, and the
+basis, the witness normal forms and the quotients y are read out for
+callers and for to_json.  Local cohomology reads the p-parts of the
 elementary divisors, and the rank, from one fraction-free elimination over
 Z_(p); `smith_normal_form`, the exact oracle the tests check it against,
 runs a Smith elimination on the matrix bordered by identities, so U and V
@@ -13,27 +22,17 @@ come out beside and below it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from operator import add, ge, mul, neg, sub
 
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
-from .gradedpoly import (
-    ONE_MONOMIAL,
-    GradedPoly,
-    PolyRing,
-    divide_by_var,
-    leading_term,
-    monomial_divide,
-    monomial_key,
-    monomial_lcm,
-    monomial_mul,
-    monomial_weight,
-    reduce_mod_ideal,
-    remainder,
-)
+from .gradedpoly import GradedPoly, PolyRing, reduce_mod_ideal
 from .numberring import (
     INFINITY,
     ReadOnly,
+    ResidueElement,
     TowerDescriptor,
     is_prime,
     padic_valuation_rational,
@@ -125,74 +124,206 @@ def _detect_p_power(gens, p):
 
 
 # ---------------------------------------------------------------------------
-# Groebner bases over F_p
+# Groebner bases over F_p, on exponent tuples (see the module docstring);
+# the tuples of one computation share the width W, the highest generator
+# index among the polynomials involved
+
+
+def _dense(f, width):
+    """The GradedPoly f over F_p as exponent tuples of the given width, at
+    least the highest generator index of f."""
+    terms = {}
+    for m, c in f.terms.items():
+        e = [0] * width
+        for n, a in m:
+            e[width - n] = a
+        terms[tuple(e)] = c.vec[0]
+    return terms
+
+
+def _sparse(ring, f):
+    """The dict f as a GradedPoly over `ring`, a residue ring over F_p."""
+    terms = {}
+    for e, c in f.items():
+        w = len(e)
+        terms[tuple((w - i, e[i]) for i in range(w - 1, -1, -1) if e[i])] = (
+            ResidueElement(ring.tower, (c,)))
+    return GradedPoly(ring, terms)
+
+
+def _width(polys):
+    """The highest generator index among the GradedPolys, 0 for constants."""
+    return max((m[-1][0] for f in polys for m in f.terms if m), default=0)
+
+
+def _shift(f, e, c, p):
+    """c * x^e * f: exponents add, coefficients are multiplied by c mod p."""
+    return {tuple(map(add, u, e)): a * c % p for u, a in f.items()}
+
+
+def _divide_by_var(f, n):
+    """f / v_n when every term is divisible by v_n, else None."""
+    out = {}
+    for e, c in f.items():
+        k = len(e) - n
+        if not (0 <= k < len(e) and e[k]):
+            return None
+        out[e[:k] + (e[k] - 1,) + e[k + 1:]] = c
+    return out
+
+
+def _divisor(f, pad=()):
+    """The monic f, widened by the leading zeros `pad`, as _remainder takes
+    it: (lead, tail) with every exponent tuple negated, so that a min-heap
+    pops the largest monomial first; the tail omits the leading term."""
+    lead = max(f)
+    return (tuple(map(neg, pad + lead)),
+            [(tuple(map(neg, pad + e)), c) for e, c in f.items() if e != lead])
+
+
+def _remainder(f, divisors, p):
+    """The remainder of f on division by monic divisors (see _divisor).
+    Each step reduces the leading term of what is left by the first divisor
+    whose leading monomial divides it, as gradedpoly.divide does.  What is
+    left is one dict on negated exponents, changed in place; a heap of its
+    keys yields the leading monomial, skipping those since cancelled."""
+    work = {tuple(map(neg, e)): c for e, c in f.items()}
+    heap = list(work)
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lead, tail in divisors:
+            if all(map(ge, lead, m)):
+                # subtract c * (m / lead) * divisor; its leading term is c * m
+                ratio = tuple(map(sub, m, lead))
+                for u, a in tail:
+                    t = tuple(map(add, u, ratio))
+                    old = work.get(t)
+                    if old is None:
+                        heapq.heappush(heap, t)
+                        old = 0
+                    d = (old - c * a) % p
+                    if d:
+                        work[t] = d
+                    else:
+                        del work[t]
+                break
+        else:
+            rem[tuple(map(neg, m))] = c
+    return rem
 
 
 class GroebnerBasis:
-    """A reduced basis, whether its completion was degree-truncated, and
-    per n the pair (j, forms): j is the first power of v_n that a leading
-    monomial divides, and forms the normal forms NF(v_n^k), k = j, j+1,
-    ..., that scans have taken so far (see _power_normal_forms)."""
+    """A reduced basis over F_p, whether its completion was
+    degree-truncated, and per n the pair (j, forms): j is the first power of
+    v_n that a leading monomial divides, and forms the normal forms
+    NF(v_n^k), k = j, j+1, ..., that scans have taken so far (see
+    _power_normal_forms).
 
-    __slots__ = ("basis", "truncated", "power_forms")
+    polys holds the basis as dicts of exponent tuples of the given width;
+    `basis` gives it as GradedPolys over `ring`, built on first use."""
 
-    def __init__(self, basis, truncated=False):
-        self.basis = basis
+    __slots__ = ("ring", "p", "polys", "width", "truncated", "power_forms", "_divisors",
+                 "_basis")
+
+    def __init__(self, ring, polys, width, truncated=False):
+        self.ring = ring
+        self.p = ring.tower.p if ring else None
+        self.polys = polys
+        self.width = width
         self.truncated = truncated
         self.power_forms = {}
+        self._divisors = {}
+        self._basis = None
 
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = [_sparse(self.ring, b) for b in self.polys]
+        return self._basis
 
-def _monic(f):
-    return f.shift(ONE_MONOMIAL, leading_term(f)[2])
+    def divisors(self, width):
+        """The basis as _remainder takes it, widened to `width` >= self.width."""
+        divs = self._divisors.get(width)
+        if divs is None:
+            pad = (0,) * (width - self.width)
+            divs = self._divisors[width] = [_divisor(b, pad) for b in self.polys]
+        return divs
 
 
 def normal_form(f, gb):
     """Remainder of f on division by the basis; zero certifies membership
-    (only up to the truncation caveat, which is raised as an error)."""
-    rem = remainder(f, gb.basis)
-    if gb.truncated and not rem.is_zero():
+    (only up to the truncation caveat, which is raised as an error).  f is a
+    GradedPoly, and so is the result, or a dict over F_p of width at least
+    gb.width, as the scans pass it."""
+    poly = isinstance(f, GradedPoly)
+    if poly:
+        ring, f = f.ring, _dense(f, max(gb.width, _width([f])))
+    rem = _remainder(f, gb.divisors(len(next(iter(f)))), gb.p) if f else f
+    if gb.truncated and rem:
         raise TruncationUnsound(
             "basis was degree-truncated; nonzero normal form proves nothing"
         )
-    return rem
+    return _sparse(ring, rem) if poly else rem
 
 
 def groebner_basis(gens, degree_bound):
     """Buchberger completion of homogeneous generators over F_p under the
-    monomial order, with S-polynomial weight capped by degree_bound."""
-    work = [_monic(g) for g in gens if not g.is_zero()]
-    if not work:
-        return GroebnerBasis([])
-    ring = work[0].ring
-    basis = list(work)
+    monomial order, with S-polynomial weight capped by degree_bound.  The
+    GradedPolys are read into exponent tuples once, and the basis is read
+    out only when asked for (GroebnerBasis.basis)."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return GroebnerBasis(None, [], 0)
+    ring = gens[0].ring
+    p, width = ring.tower.p, _width(gens)
+    weights = [ring.q ** n - 1 for n in range(width, 0, -1)]
+
+    def monic(f):
+        inv = pow(f[max(f)], p - 2, p)
+        return {e: c * inv % p for e, c in f.items()}
+
+    basis = [monic(_dense(g, width)) for g in gens]
+    divisors = [_divisor(b) for b in basis]
     truncated = False
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop()
         fi, fj = basis[i], basis[j]
-        mi, mj = leading_term(fi)[0], leading_term(fj)[0]
-        lcm = monomial_lcm(mi, mj)
-        if monomial_mul(mi, mj) == lcm:
+        mi, mj = max(fi), max(fj)
+        if not any(map(min, mi, mj)):
             continue  # coprime leading monomials: S-poly reduces to zero
-        if monomial_weight(lcm, ring.q) > degree_bound:
+        lcm = tuple(map(max, mi, mj))
+        if sum(map(mul, lcm, weights)) > degree_bound:
             truncated = True
             continue
-        s = fi.shift(monomial_divide(lcm, mi)) - fj.shift(monomial_divide(lcm, mj))
-        rem = remainder(s, basis)
-        if not rem.is_zero():
-            rem = _monic(rem)
+        s = _shift(fi, tuple(map(sub, lcm, mi)), 1, p)
+        for e, c in _shift(fj, tuple(map(sub, lcm, mj)), 1, p).items():
+            d = (s.get(e, 0) - c) % p
+            if d:
+                s[e] = d
+            else:
+                del s[e]
+        rem = _remainder(s, divisors, p)
+        if rem:
+            rem = monic(rem)
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(rem)
+            divisors.append(_divisor(rem))
     # Inter-reduce for a canonical-ish basis.
     reduced = []
     for idx, b in enumerate(basis):
-        others = [x for k, x in enumerate(basis) if k != idx]
-        r = remainder(b, others) if others else b
-        if not r.is_zero():
-            reduced.append(_monic(r))
-    basis = list(dict.fromkeys(reduced))
-    basis.sort(key=lambda b: monomial_key(leading_term(b)[0]))
-    return GroebnerBasis(basis, truncated)
+        others = divisors[:idx] + divisors[idx + 1:]
+        r = _remainder(b, others, p) if others else b
+        if r:
+            reduced.append(monic(r))
+    basis = list({frozenset(b.items()): b for b in reduced}.values())
+    basis.sort(key=max)
+    return GroebnerBasis(ring, basis, width, truncated)
 
 
 def module_groebner(module, degree_bound=None):
@@ -218,26 +349,30 @@ def module_groebner(module, degree_bound=None):
 # Torsion and eventual-division scans
 
 
-def _power_normal_forms(gb, ring, n):
+def _power_normal_forms(gb, n):
     """(j, forms): j is the least k >= 1 for which a leading monomial of
     the basis (v_n^a with a <= k, or 1) divides v_n^k, None if none does,
     and 1 on a truncated basis, so that its first nonzero form raises.
     Below j the division returns v_n^k unchanged, so callers read those
     powers without taking a form.  forms yields NF(v_n^k), k = j, j+1, ...,
-    each the normal form of v_n times the one before: unique on a complete
-    basis, and no coefficient is multiplied.  The forms are kept on gb, so
-    a later scan of the same n resumes where the longest one stopped."""
+    as dicts of width max(gb.width, n), each the normal form of v_n times
+    the one before: unique on a complete basis.  The forms are kept on gb,
+    so a later scan of the same n resumes where the longest one stopped."""
+    width = max(gb.width, n)
+    unit = tuple(int(k == width - n) for k in range(width))  # v_n
     if n not in gb.power_forms:
-        leads = (leading_term(b)[0] for b in gb.basis)
-        powers = (lm[0][1] if lm else 1 for lm in leads
-                  if not lm or len(lm) == 1 and lm[0][0] == n)
+        # a leading monomial divides a power of v_n when its only nonzero
+        # exponent, if any, is that of v_n
+        leads = [(0,) * (width - gb.width) + max(b) for b in gb.polys]
+        powers = (lead[width - n] or 1 for lead in leads if sum(lead) == lead[width - n])
         gb.power_forms[n] = (1 if gb.truncated else min(powers, default=None), [])
     j, forms = gb.power_forms[n]
 
     def scan():
         for i in itertools.count():
             if i == len(forms):
-                prev = forms[-1].shift(((n, 1),)) if forms else ring.gen(n, j)
+                prev = (_shift(forms[-1], unit, 1, gb.p) if forms
+                        else {tuple(j * a for a in unit): 1})
                 forms.append(normal_form(prev, gb))
             yield forms[i]
     return j, scan()
@@ -249,19 +384,21 @@ def is_vn_power_torsion(module, n, k_max, gb=None):
     if gb is None:
         gb = module_groebner(module)
     ring = module.ring.residue_ring()
-    j, scan = _power_normal_forms(gb, ring, n)
+    j, scan = _power_normal_forms(gb, n)
     forms = {}
     if j is not None:
         for k, nf in zip(range(j, k_max + 1), scan):
-            if nf.is_zero():
+            if not nf:
                 return {"torsion": True, "k": k, "n": n}
             forms[k] = nf
     # witnesses: an unscanned power up to k_max lies below j; k_max < 1 scans none
     nonzero = []
     for k in (1, k_max):
-        if k not in forms:
-            forms[k] = ring.gen(n, k) if 1 <= k <= k_max else normal_form(ring.gen(n, k), gb)
-        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": forms[k].to_json(module.N)})
+        if k in forms:
+            form = _sparse(ring, forms[k])
+        else:
+            form = ring.gen(n, k) if 1 <= k <= k_max else normal_form(ring.gen(n, k), gb)
+        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": form.to_json(module.N)})
     return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": nonzero}
 
 
@@ -271,20 +408,20 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
     if gb is None:
         gb = module_groebner(module)
     ring = module.ring.residue_ring()
-    j, scan = _power_normal_forms(gb, ring, r_index)
+    j, scan = _power_normal_forms(gb, r_index)
     # below j, v_r^m is its own nonzero form, divisible by v_s only if s = r
     if r_index == s_index and m_max >= 1 and j != 1:
         return {"found": True, "case": "divide", "m": 1, "y": ring.one().to_json(module.N),
                 "r": r_index, "s": s_index}
     if j is not None:
         for m, nf in zip(range(j, m_max + 1), scan):
-            if nf.is_zero():
+            if not nf:
                 return {"found": True, "case": "zero", "m": m, "y": "0",
                         "r": r_index, "s": s_index}
-            y = divide_by_var(nf, s_index)
+            y = _divide_by_var(nf, s_index)
             if y is not None:
-                return {"found": True, "case": "divide", "m": m, "y": y.to_json(module.N),
-                        "r": r_index, "s": s_index}
+                return {"found": True, "case": "divide", "m": m,
+                        "y": _sparse(ring, y).to_json(module.N), "r": r_index, "s": s_index}
     return {"found": False, "not_found_up_to": m_max, "r": r_index, "s": s_index}
 
 

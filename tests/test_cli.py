@@ -543,6 +543,25 @@ def test_weight_bounded_reports_match_fresh_runs(capsys, monkeypatch):
     assert [fresh[tuple(argv)] for argv in sample] == [run_alone(argv) for argv in sample]
 
 
+@pytest.mark.parametrize("suite", ["rational-iso", "ordering"])
+def test_weight_bounded_suites_build_no_image_above_n_b(capsys, monkeypatch, suite):
+    # At the default bound (7 for rational-iso, 6 for ordering at q = 2)
+    # n_B = 3 and 2: a report at N = 7 is the one at N = 3, and neither run
+    # builds a gamma image above n_B, the total-ramification check included.
+    monkeypatch.delenv("FMCALC_CONFIG", raising=False)
+    asked = []
+    compute_gamma = gamma.compute_gamma
+    monkeypatch.setattr(gamma, "compute_gamma",
+                        lambda source, target, N: asked.append(N) or compute_gamma(source, target, N))
+    outs = []
+    for N in ("7", "3"):
+        for cache in cli.PROCESS_CACHES:
+            cache.cache_clear()
+        outs.append(run(capsys, "verify", suite, "--p", "2", "--e", "2", "--N", N))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert max(asked) == {"rational-iso": 3, "ordering": 2}[suite]
+
+
 def test_gamma_cold_start_loads_only_what_it_runs():
     # A one-shot `fmcalc gamma` needs neither the torsion module nor the
     # dataclasses machinery (and the inspect module it pulls in).

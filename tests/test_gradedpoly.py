@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fmcalc import gradedpoly as gp
+from fmcalc import torsion as ts
 from fmcalc.errors import MissingImage, RingMismatch, TowerMismatch, ZeroPolynomial
 from fmcalc.formal import log_closed_form
 from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
-    divide_by_var,
     graded_basis,
     leading_monomial,
     monomial,
@@ -273,15 +273,19 @@ class TestGradedBasis:
 
 
 class TestDivideByVar:
-    def test_divides(self, ring):
-        f = ring.gen(1) ** 3 + ring.gen(1) * ring.gen(2)
-        assert divide_by_var(f, 1) == ring.gen(1) ** 2 + ring.gen(2)
+    # The eventual-division scan divides by v_n on polynomials over F_p,
+    # held as exponent tuples (a_2, a_1), highest generator first.
+    def test_divides(self):
+        f = {(0, 3): 1, (1, 1): 1}  # v_1^3 + v_1 v_2
+        assert ts._divide_by_var(f, 1) == {(0, 2): 1, (1, 0): 1}
 
-    def test_not_divisible(self, ring):
-        assert divide_by_var(ring.gen(1) + ring.gen(2), 1) is None
+    def test_not_divisible(self):
+        assert ts._divide_by_var({(0, 1): 1, (1, 0): 1}, 1) is None
+        # v_3 lies past the width: no term holds it
+        assert ts._divide_by_var({(1, 1): 1}, 3) is None
 
-    def test_zero_is_divisible(self, ring):
-        assert divide_by_var(ring.zero(), 1) == ring.zero()
+    def test_zero_is_divisible(self):
+        assert ts._divide_by_var({}, 1) == {}
 
 
 class TestSerialization:

@@ -117,6 +117,24 @@ def test_records_read_back_in_slot_order(cls, values, fields):
             cls(*wrong)
 
 
+@pytest.mark.parametrize("text, kind", [
+    ("3", int), ("-7", int), (" 3 ", int), ("+3", int), ("1_0", int), ("\u0663", int), (12, int),
+    ("1/2", Fraction), ("2.0", Fraction), ("-3/6", Fraction), (2.5, Fraction),
+])
+def test_parse_rational_reads_integers_as_ints(text, kind):
+    # int() first, Fraction for the rest: the value is Fraction's either way
+    value = nr.parse_rational(text)
+    assert value == Fraction(str(text)) and type(value) is kind
+    q2 = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
+    assert nr.FieldElement.from_json(q2, [[str(text)], ["0"]]) == q2.from_rational(Fraction(str(text)))
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", "", "True"])
+def test_parse_rational_refuses_non_numbers(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        nr.parse_rational(text)
+
+
 class TestFieldArithmetic:
     def setup_method(self):
         self.t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1], "Q2(sqrt2)")

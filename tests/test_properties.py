@@ -5,8 +5,8 @@ closed-form valuation, coordinate serialization, graded products, squares
 and single-monomial shifts, gamma
 as a ring map and its memoized monomial images, multivariate division,
 the remainders of successive powers and the monomial order, the monomials
-of one weight, normal forms modulo Groebner bases over F_p and the
-v_n-power scans read from them, Smith normal form, and logs and gamma
+of one weight, Groebner bases over F_p against the reference Buchberger
+loop, normal forms modulo them and the v_n-power scans read from them, Smith normal form, and logs and gamma
 images that do not depend on N."""
 
 import itertools
@@ -14,10 +14,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
+from fmcalc.errors import TruncationUnsound
 from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
 from fmcalc.gamma import (
     GammaTable,
@@ -33,6 +34,7 @@ from fmcalc.gradedpoly import (
     divide,
     graded_basis,
     leading_monomial,
+    leading_term,
     monomial,
     monomial_divide,
     monomial_key,
@@ -299,14 +301,20 @@ def test_square_matches_the_termwise_product(data):
 @given(st.data())
 def test_shift_is_the_product_with_one_term(data):
     # The kernel is the oracle of shift, for field and residue coefficients
-    # over every tower; c may be drawn as 0.
+    # over every tower, and of the Groebner core's c * x^e * f on exponent
+    # tuples over every residue field F_p, for c in 1..p-1.
     for T in TOWERS:
         for ring, coeffs in ((PolyRing(T), elements(T)), (PolyRing(T, "residue"), residues(T))):
             f = data.draw(polys(ring, coeffs, 3))
             m = data.draw(monomials)
-            c = data.draw(coeffs)
-            assert f.shift(m, c) == f * GradedPoly(ring, {m: c}), ring
             assert f.shift(m) == f * GradedPoly(ring, {m: ring.coeff_one()}), ring
+            if ring.coefficients == "residue" and T.f == 1:
+                c = data.draw(st.integers(1, T.p - 1))
+                term = GradedPoly(ring, {m: ring.coeff_from_int(c)})
+                width = ts._width([f, term])
+                (e, _), = ts._dense(term, width).items()
+                shifted = ts._shift(ts._dense(f, width), e, c, T.p)
+                assert ts._sparse(ring, shifted) == f * term, ring
 
 
 # gamma tables at N = 3: from Q_p into every tower, and from the unramified
@@ -510,7 +518,7 @@ def test_monomials_of_weight_match_brute_force(q, N, w):
 # Normal forms over F_p
 
 
-RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), coefficients="residue") for p in (2, 3)}
+RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), coefficients="residue") for p in (2, 3, 5)}
 RESIDUE_BASES = {p: graded_basis(ring, 3, 2 * (ring.q ** 3 - 1)) for p, ring in RESIDUE_RINGS.items()}
 
 
@@ -542,6 +550,88 @@ def complete_bases(draw):
     return RESIDUE_RINGS[p], gens, gb
 
 
+def _reference_groebner(gens, degree_bound):
+    """(basis, truncated) from the Buchberger loop of groebner_basis written
+    on GradedPolys over gradedpoly.divide: the pairs taken last in, first
+    out, coprime leading monomials skipped, S-polynomials above the bound
+    skipped as truncation, then each element reduced by all the others,
+    equal ones dropped and the rest sorted by leading monomial."""
+    def monic(f):
+        return f.scale(leading_term(f)[2])
+
+    basis = [monic(g) for g in gens if g]
+    truncated = False
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop()
+        mi, mj = leading_monomial(basis[i]), leading_monomial(basis[j])
+        di, dj = dict(mi), dict(mj)
+        lcm = monomial({n: max(di.get(n, 0), dj.get(n, 0)) for n in di.keys() | dj.keys()})
+        if monomial_mul(mi, mj) == lcm:
+            continue
+        if monomial_weight(lcm, basis[0].ring.q) > degree_bound:
+            truncated = True
+            continue
+        s = basis[i].shift(monomial_divide(lcm, mi)) - basis[j].shift(monomial_divide(lcm, mj))
+        rem = divide(s, basis)[1]
+        if rem:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(monic(rem))
+    reduced = []
+    for idx, b in enumerate(basis):
+        others = basis[:idx] + basis[idx + 1:]
+        r = divide(b, others)[1] if others else b
+        if r:
+            reduced.append(monic(r))
+    reduced = list(dict.fromkeys(reduced))
+    reduced.sort(key=lambda b: monomial_key(leading_monomial(b)))
+    return reduced, truncated
+
+
+@st.composite
+def generator_lists(draw):
+    """(generators, weight bound, f) over F_p, p in {2, 3, 5}: up to four
+    homogeneous generators whose leading monomials come from a pool of
+    three, so they often repeat, a bound that may truncate, and a
+    homogeneous f to reduce."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    pool = draw(st.lists(homogeneous_polys(p), min_size=1, max_size=3))
+    leads = [leading_monomial(g) for g in pool]
+    gens = draw(st.lists(st.sampled_from(leads).flatmap(lambda m: homogeneous_polys(p, m)),
+                         min_size=1, max_size=4))
+    bound = draw(st.sampled_from([p - 1, 2 * (p * p - 1), 10 ** 6]))
+    return gens, bound, draw(homogeneous_polys(p))
+
+
+def _fp_poly(p, terms):
+    """A polynomial over F_p from {monomial exponents: int coefficient}."""
+    ring = RESIDUE_RINGS[p]
+    return GradedPoly(ring, {monomial(m): ring.coeff_from_int(c) for m, c in terms.items()})
+
+
+# At p = 2, (v_1, v_1) and (v_2, v_2 + v_1^3) repeat a leading monomial,
+# and the inter-reduction drops both elements of the pair.
+V1, V2 = _fp_poly(2, {((1, 1),): 1}), _fp_poly(2, {((2, 1),): 1})
+V2_PLUS_V1_CUBED = _fp_poly(2, {((2, 1),): 1, ((1, 3),): 1})
+
+
+@PROPERTY_SETTINGS
+@given(generator_lists())
+@example(([V1, V1], 10 ** 6, V2 + _fp_poly(2, {((1, 3),): 1})))
+@example(([V2, V2_PLUS_V1_CUBED], 10 ** 6, V2))
+def test_groebner_core_matches_the_reference_loop(case):
+    gens, bound, f = case
+    gb = ts.groebner_basis(gens, bound)
+    basis, truncated = _reference_groebner(gens, bound)
+    assert (gb.basis, gb.truncated) == (basis, truncated)
+    rem = divide(f, basis)[1]
+    if truncated and rem:
+        with pytest.raises(TruncationUnsound):
+            ts.normal_form(f, gb)
+    else:
+        assert ts.normal_form(f, gb) == rem
+
+
 @PROPERTY_SETTINGS
 @given(complete_bases(), st.data())
 def test_normal_form_is_idempotent_and_independent_of_generator_order(args, data):
@@ -560,10 +650,10 @@ def test_scanned_powers_match_normal_forms_from_scratch(args, n):
     # The scan takes forms from the first reducible power j on; below j,
     # v_n^k is its own normal form.  No generator names v_4.
     ring, _, gb = args
-    j, scan = ts._power_normal_forms(gb, ring, n)
+    j, scan = ts._power_normal_forms(gb, n)
     for k in range(1, 9):
         power = GradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
-        nf = power if j is None or k < j else next(scan)
+        nf = power if j is None or k < j else ts._sparse(ring, next(scan))
         assert nf == ts.normal_form(power, gb)
 
 

@@ -55,9 +55,10 @@ def test_workcount_reports_torsion_normal_forms(tmp_path):
     stats, _, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
     assert raised == 0
     rows = {name: calls for name, _, calls in wc.named_counts(stats, wc.DEFAULT_NAMES)
-            if name in ("torsion.normal_form", "gradedpoly._reduce")}
-    # Each normal form is one division; Groebner completion takes the rest.
-    assert 0 < rows["torsion.normal_form"] < rows["gradedpoly._reduce"]
+            if name in ("torsion.normal_form", "torsion._remainder")}
+    # Each nonzero normal form is one reduction; Groebner completion takes
+    # the rest.
+    assert 0 < rows["torsion.normal_form"] < rows["torsion._remainder"]
     assert rows["torsion.normal_form"] < 50
 
 

@@ -11,8 +11,8 @@ line, keyed by its first line number.  Without NAMEs it reports the
 `fractions.Fraction` arithmetic, `numberring` inverses, graded products
 (`GradedPoly.__mul__`), the constructors in `gradedpoly`, one line for
 `PolyRing.__init__` and one for `GradedPoly.__init__`, the normal forms
-over F_p (`torsion.normal_form`) and divisions (`gradedpoly._reduce`) that
-torsion-batch's obstruct jobs take, and the default-polynomial searches
+over F_p (`torsion.normal_form`) and the reductions on exponent tuples
+(`torsion._remainder`) that torsion-batch's obstruct jobs take, and the default-polynomial searches
 (`modp.smallest_irreducible`) and weight-basis requests
 (`gradedpoly.monomials_of_weight`) that a verify-session process repeats
 unless it reuses them.
@@ -42,7 +42,7 @@ from fmcalc import cli  # noqa: E402
 
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
                  "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__",
-                 "torsion.normal_form", "gradedpoly._reduce", "modp.smallest_irreducible",
+                 "torsion.normal_form", "torsion._remainder", "modp.smallest_irreducible",
                  "gradedpoly.monomials_of_weight"]
 
 
