@@ -21,6 +21,7 @@ from .formal import hazewinkel_log, log_closed_form, log_entries, trivial_tower
 from .gradedpoly import _monomials_of_weight
 from .numberring import (
     TowerDescriptor,
+    embed,
     find_nonsplit_prime,
     is_integer,
     is_prime,
@@ -62,7 +63,7 @@ INTEGER_SETTINGS = {
     "e": (None, 1),
     "N": (6, 0),
     "weight_bound": (None, 0),
-    "kmax": (20, 0),
+    "kmax": (20, 1),
     "mmax": (32, 0),
     "seed": (0, 0),
 }
@@ -193,8 +194,6 @@ def suite_low_degree(tower, N, settings):
     """gamma(v_1), gamma(v_2) against the closed low-degree formulas for a
     totally ramified extension of the base."""
     table = _gamma_table(tower, max(N, 2)).totally_ramified("low-degree check")
-    from .numberring import embed
-
     pi_a = embed(table.source.uniformizer(), tower)
     pi_b = tower.uniformizer()
     q = table.source.q

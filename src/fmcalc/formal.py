@@ -48,7 +48,7 @@ def log_entries(tower, N):
     entries = log_entries(tower, N - 1)
     acc = ring.zero()
     for i in range(N):
-        acc = acc + entries[i].shift(((N - i, tower.q ** i),))
+        acc = acc + entries[i].shift(monomial({N - i: tower.q ** i}))
     return entries + (acc.scale(tower.uniformizer_inverse),)
 
 
@@ -86,9 +86,9 @@ def log_closed_form(tower, N):
     for h in range(1, N + 1):
         terms = {}
         for comp in _compositions(h):
-            exps, partial = [], 0
+            exps, partial = {}, 0
             for part in comp:
-                exps.append((part, q ** partial))
+                exps[part] = exps.get(part, 0) + q ** partial
                 partial += part
             terms[monomial(exps)] = pi_inv_pow[len(comp)]
         entries.append(GradedPoly(ring, terms))

@@ -23,11 +23,13 @@ from .gradedpoly import (
     PolyRing,
     apply_ring_map,
     divide,
+    divisible_below,
     graded_basis,
     leading_monomial,
     monomial,
     monomial_image,
     monomial_key,
+    monomial_to_json,
     monomials_of_weight,
     reduce_mod_ideal,
 )
@@ -185,7 +187,7 @@ def gamma_sharp_matrix(table, weight):
     injective = triangular and all(dv is not None for dv in diag_vals)
     return {
         "weight": weight,
-        "basis": [{str(n): a for n, a in m} for m in basis],
+        "basis": [monomial_to_json(m) for m in basis],
         "matrix": matrix,
         "triangular": triangular,
         "diagonal_valuations": diag_vals,
@@ -240,7 +242,7 @@ def in_ideal_In(f, n):
     its monomial is divisible by some v_i with i < n or its coefficient is
     divisible by p."""
     for m, c in f.terms.items():
-        if any(idx < n for idx, _ in m):
+        if divisible_below(m, n):
             continue
         if not _coeff_in_p(c):
             return False
@@ -360,16 +362,11 @@ def order_preservation_check(table, sample_size, weight_bound, seed=0):
         fy = table.monomial_image(y)
         for m, img in ((x, fx), (y, fy)):
             if img.is_zero():
-                nonvanishing_failures.append({str(n): a for n, a in m})
+                nonvanishing_failures.append(monomial_to_json(m))
         if fx.is_zero() or fy.is_zero():
             continue
         if monomial_key(leading_monomial(fx)) > monomial_key(leading_monomial(fy)):
-            failures.append(
-                {
-                    "x": {str(n): a for n, a in x},
-                    "y": {str(n): a for n, a in y},
-                }
-            )
+            failures.append({"x": monomial_to_json(x), "y": monomial_to_json(y)})
         checked += 1
     return {
         "sample_size": sample_size,

@@ -5,19 +5,23 @@ A ring is its coefficient tower and coefficient kind; it has no truncation.
 A bound N on generator indices belongs to what enumerates or serializes
 (graded_basis, and the tables, logs and modules that call to_json).
 
-Monomials carry the weight w(v_n) = q^n - 1 (topological degree 2w) and are
-compared by a pure lexicographic order in which the highest generator index
-is the most significant: v_3 beats every monomial in v_1, v_2, and v_2^2
-beats v_1^n * v_2 for every n.
+A monomial is its exponent tuple (a_W, ..., a_1), highest generator first,
+with a_W > 0 (() is 1): one tuple whatever generators a polynomial was built
+from.  Monomials carry the weight w(v_n) = q^n - 1 (topological degree 2w)
+and are compared by a pure lexicographic order in which the highest
+generator index is the most significant: v_3 beats every monomial in v_1,
+v_2, and v_2^2 beats v_1^n * v_2 for every n.  Its key is (len(m), m); on
+tuples of one width it is plain tuple order.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, ge, neg, sub
 
 from .errors import MissingImage, NotIntegral, RingMismatch, TowerMismatch, ZeroPolynomial
 from .numberring import (
@@ -28,72 +32,65 @@ from .numberring import (
     is_integral,
     mul_accumulate,
     mul_rows,
+    parse_integer,
     residue,
 )
 
 
 # ---------------------------------------------------------------------------
-# Monomials: sorted tuples of (generator index, positive exponent)
+# Monomials: exponent tuples (see the module docstring)
 
 
 def monomial(exps):
-    """Canonical monomial from a mapping or iterable of (index, exponent)."""
-    if isinstance(exps, dict):
-        items = exps.items()
-    else:
-        items = exps
-    out = {}
-    for n, a in items:
-        n, a = int(n), int(a)
+    """The exponent tuple of the product of the v_n^a over the int mapping
+    {n: a}; ValueError for a negative exponent or a nonzero one on n < 1."""
+    e = [0] * max((n for n, a in exps.items() if a), default=0)
+    for n, a in exps.items():
         if a < 0:
             raise ValueError("negative exponent")
         if a:
-            out[n] = out.get(n, 0) + a
-    return tuple(sorted(out.items()))
-
-
-ONE_MONOMIAL = ()
+            if n < 1:
+                raise ValueError("no generator v_%d" % n)
+            e[-n] = a
+    return tuple(e)
 
 
 def monomial_weight(m, q):
-    return sum(a * (q ** n - 1) for n, a in m)
+    return sum(a * (q ** n - 1) for n, a in enumerate(reversed(m), 1) if a)
+
+
+def widen(m, width):
+    """The monomial m as an exponent tuple of the given width >= len(m)."""
+    return (0,) * (width - len(m)) + m
+
+
+def strip(e):
+    """The monomial of the exponent tuple e: e without its leading zeros."""
+    for i, a in enumerate(e):
+        if a:
+            return e[i:]
+    return ()
 
 
 def monomial_mul(x, y):
-    out = dict(x)
-    for n, a in y:
-        out[n] = out.get(n, 0) + a
-    return tuple(sorted(out.items()))
-
-
-def monomial_divide(x, y):
-    """x / y, or None when y does not divide x."""
-    out = dict(x)
-    for n, a in y:
-        b = out.get(n, 0) - a
-        if b < 0:
-            return None
-        if b:
-            out[n] = b
-        else:
-            out.pop(n, None)
-    return tuple(sorted(out.items()))
+    if len(x) < len(y):
+        x, y = y, x
+    return tuple(map(add, x, widen(y, len(x))))
 
 
 def monomial_key(m):
-    """Sort key of the monomial order: the (index, exponent) pairs from the
-    highest index down.  Tuples compare pair by pair, so the first
-    difference decides, and a monomial that extends another by lower
-    generators is the larger."""
-    return m[::-1]
+    """Sort key of the monomial order (see the module docstring)."""
+    return len(m), m
 
 
-def _descending_key(m):
-    """Key whose ascending order is the descending monomial order, for a
-    min-heap: the pairs of monomial_key negated, closed by (0, 0), which
-    ranks above every negated pair, so a monomial comes after its
-    extensions."""
-    return tuple((-n, -a) for n, a in reversed(m)) + ((0, 0),)
+def divisible_below(m, n):
+    """True iff some v_i with i < n divides the monomial m."""
+    return n > 1 and any(m[1 - n:])
+
+
+def monomial_to_json(m):
+    """{"n": a} over the generators v_n of m, lowest index first."""
+    return {str(n): a for n, a in enumerate(reversed(m), 1) if a}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +129,7 @@ class PolyRing:
         return GradedPoly(self, {})
 
     def one(self):
-        return GradedPoly(self, {ONE_MONOMIAL: self.coeff_one()})
+        return GradedPoly(self, {(): self.coeff_one()})
 
     def gen(self, n, exp=1):
         return GradedPoly(self, {monomial({n: exp}): self.coeff_one()})
@@ -219,14 +216,16 @@ class GradedPoly:
     def __mul__(self, other):
         """Product on integer numerators, for both coefficient kinds.  Each
         factor is put over one common denominator; a residue coefficient
-        enters as its omega-coordinates over 1.  Each coefficient of the
-        shorter factor builds its integer multiplication rows once, and every
-        partial product accumulates into an integer vector under a dense
-        exponent key.  Each output term is then divided by den_a * den_b * ds
-        once (for residues, reduced mod p as `residue` does) and its key
-        turned back into a monomial, in first-seen order.  A square takes each
-        pair of terms i < j once, with term j doubled (Monagan & Pearce, CASC
-        2012); the key of (j, i) is first seen at (i, j), so the order holds."""
+        enters as its omega-coordinates over 1.  Each factor's monomials are
+        widened once to the width of both, so a product of monomials is a
+        componentwise sum.  Each coefficient of the shorter factor builds
+        its integer multiplication rows once, and every partial product
+        accumulates into an integer vector under its exponent tuple.  Each
+        output term is then divided by den_a * den_b * ds once (for
+        residues, reduced mod p as `residue` does) and its tuple stripped of
+        leading zeros, in first-seen order.  A square takes each pair of
+        terms i < j once, with term j doubled (Monagan & Pearce, CASC 2012);
+        the key of (j, i) is first seen at (i, j), so the order holds."""
         if isinstance(other, (int, Fraction, FieldElement, ResidueElement)):
             return self.scale(other)
         self._check(other)
@@ -234,26 +233,18 @@ class GradedPoly:
         a_poly, b_poly = self, other
         if len(a_poly.terms) > len(b_poly.terms):
             a_poly, b_poly = b_poly, a_poly
-        gens = sorted({n for poly in (a_poly, b_poly) for m in poly.terms for n, _ in m})
-        slot = {n: k for k, n in enumerate(gens)}
-
-        def dense(m):
-            exps = [0] * len(gens)
-            for n, a in m:
-                exps[slot[n]] = a
-            return tuple(exps)
-
+        width = max(map(len, itertools.chain(a_poly.terms, b_poly.terms)), default=0)
         den_a, a_terms = _over_common_den(a_poly)
         den_b, b_terms = _over_common_den(b_poly)
-        b_dense = [(dense(m2), b) for m2, b in b_terms]
+        b_wide = [(widen(m2, width), b) for m2, b in b_terms]
         square = other is self
         if square:
-            twice = [(e2, [2 * x for x in b]) for e2, b in b_dense]
+            twice = [(e2, [2 * x for x in b]) for e2, b in b_wide]
         out = {}
         for i, (m1, a) in enumerate(a_terms):
-            e1 = dense(m1)
+            e1 = widen(m1, width)
             rows = mul_rows(T, a)
-            for e2, b in [b_dense[i]] + twice[i + 1:] if square else b_dense:
+            for e2, b in [b_wide[i]] + twice[i + 1:] if square else b_wide:
                 key = tuple(map(add, e1, e2))
                 acc = out.get(key)
                 if acc is None:
@@ -261,8 +252,7 @@ class GradedPoly:
                 mul_accumulate(acc, rows, b)
         den = den_a * den_b * T.structure_constants()[1]
         terms = {
-            tuple((gens[k], x) for k, x in enumerate(key) if x):
-                FieldElement.from_numerators(T, acc, den)
+            strip(key): FieldElement.from_numerators(T, acc, den)
             for key, acc in out.items() if any(acc)
         }
         if self.ring.coefficients == "residue":
@@ -284,14 +274,14 @@ class GradedPoly:
             raise TowerMismatch(
                 "scalar from %s, ring over %s" % (c.tower.label, self.ring.tower.label)
             )
-        return self * GradedPoly(self.ring, {ONE_MONOMIAL: c})
+        return self * GradedPoly(self.ring, {(): c})
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
-            return GradedPoly(self.ring, {monomial({k: a * n for k, a in m}): c ** n})
+            return GradedPoly(self.ring, {tuple(a * n for a in m) if n else (): c ** n})
         return binary_power(self, n, self.ring.one())
 
     # -- serialization ---------------------------------------------------------
@@ -301,7 +291,7 @@ class GradedPoly:
         module the polynomial belongs to.  The term dicts are built on the
         first call and shared by later ones, each in a new list."""
         if self._json is None:
-            self._json = [{"exps": {str(n): a for n, a in m}, "coeff": c.to_json()}
+            self._json = [{"exps": monomial_to_json(m), "coeff": c.to_json()}
                           for m, c in self.sorted_terms()]
         return {"terms": list(self._json), "q": self.ring.q, "N": N}
 
@@ -309,7 +299,10 @@ class GradedPoly:
     def from_json(ring, obj):
         terms = {}
         for t in obj["terms"]:
-            m = monomial({int(n): a for n, a in t["exps"].items()})
+            exps = {int(n): parse_integer(a) for n, a in t["exps"].items()}
+            m = monomial(exps)
+            if len(exps) < len(t["exps"]) or m in terms:
+                raise ValueError("a generator or a monomial is listed twice")
             if ring.coefficients == "residue":
                 c = ResidueElement(ring.tower, tuple(t["coeff"]))
             else:
@@ -322,9 +315,8 @@ class GradedPoly:
             return "<poly 0>"
         parts = []
         for m, c in self.sorted_terms():
-            mono = "*".join(
-                ("v%d" % n) if a == 1 else ("v%d^%d" % (n, a)) for n, a in m
-            )
+            mono = "*".join(("v" + n) if a == 1 else ("v%s^%d" % (n, a))
+                            for n, a in monomial_to_json(m).items())
             parts.append("(%r)%s" % (c, "*" + mono if mono else ""))
         return "<poly " + " + ".join(parts) + ">"
 
@@ -363,39 +355,48 @@ def _reduce(f, divisors, quots):
     whose leading monomial divides it; coefficients divide exactly (field
     or residue field).  A zero divisor raises ZeroPolynomial.
 
-    What is left is one dict, changed in place; a heap of its monomials
-    yields the leading one, skipping monomials that have since cancelled."""
-    leads = [leading_term(d) for d in divisors]
+    What is left is one dict, changed in place, on the monomials widened to
+    one width and negated, as in torsion._remainder: a min-heap of its keys
+    yields the leading monomial, skipping monomials since cancelled."""
+    width = max(map(len, itertools.chain(f.terms, *(d.terms for d in divisors))), default=0)
+
+    def negated(m):
+        return tuple(map(neg, widen(m, width)))
+
+    leads = []
+    for d in divisors:
+        lm, _, lc_inv = leading_term(d)
+        leads.append((negated(lm), lc_inv,
+                      [(negated(u), a) for u, a in d.terms.items() if u != lm]))
     rem = {}
-    work = dict(f.terms)
-    heap = [(_descending_key(m), m) for m in work]
+    work = {negated(m): c for m, c in f.terms.items()}
+    heap = list(work)
     heapq.heapify(heap)
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
+        m = heapq.heappop(heap)
+        c = work.pop(m, None)
         if c is None:
             continue
-        for i, (lm, _, lc_inv) in enumerate(leads):
-            ratio = monomial_divide(m, lm)
-            if ratio is not None:
-                q = quots[i][ratio] = c * lc_inv
+        for i, (lead, lc_inv, tail) in enumerate(leads):
+            if all(map(ge, lead, m)):
+                ratio = tuple(map(sub, m, lead))
+                q = quots[i][strip(tuple(map(neg, ratio)))] = c * lc_inv
                 # Subtracting q * ratio * d_i cancels the term at m; over a
                 # field no product a * q of nonzero coefficients is zero.
-                for u, a in divisors[i].terms.items():
-                    t = monomial_mul(u, ratio)
+                for u, a in tail:
+                    t = tuple(map(add, u, ratio))
                     s = a * q
                     old = work.get(t)
                     if old is None:
                         work[t] = -s
-                        heapq.heappush(heap, (_descending_key(t), t))
+                        heapq.heappush(heap, t)
                     elif old == s:
                         del work[t]
                     else:
                         work[t] = old - s
                 break
         else:
-            rem[m] = c
-            del work[m]
+            rem[strip(tuple(map(neg, m)))] = c
     return rem
 
 
@@ -412,28 +413,31 @@ def monomial_image(m, ring, images, memo):
     """Image of the monomial m under v_n -> images[n] (images[0] is unused),
     a polynomial over `ring`, held in `memo`: a dict from monomials to
     images, which may also hold monomials in generators past the end of
-    `images`.  Such a generator raises MissingImage; m's last factor holds
-    its largest.  For that factor v_n^a and the rest m',
+    `images`.  Such a generator raises MissingImage; m's largest generator
+    is v_n, n = len(m).  For that factor v_n^a and the rest m',
     image(m) = image(m') * image(v_n^a), and
     image(v_n^a) = image(v_n^(a-1)) * images[n]: one product per new entry."""
-    if m and m[-1][0] >= len(images):
-        raise MissingImage("no image for generator v_%d" % m[-1][0])
+    n = len(m)
+    if n >= len(images):
+        raise MissingImage("no image for generator v_%d" % n)
     img = memo.get(m)
     if img is None:
-        if len(m) > 1:
-            img = monomial_image(m[:-1], ring, images, memo) * monomial_image(
-                m[-1:], ring, images, memo
+        rest = strip(m[1:])
+        zeros = (0,) * (n - 1)
+        if rest:
+            img = monomial_image(rest, ring, images, memo) * monomial_image(
+                m[:1] + zeros, ring, images, memo
             )
         elif not m:
             img = ring.one()
         else:
-            (n, a), = m
+            a = m[0]
             k = a - 1  # the highest power of v_n held, or 0
-            while k and ((n, k),) not in memo:
+            while k and (k,) + zeros not in memo:
                 k -= 1
-            img = memo[((n, k),)] if k else images[n]
+            img = memo[(k,) + zeros] if k else images[n]
             for b in range(max(k, 1) + 1, a + 1):
-                img = memo[((n, b),)] = img * images[n]
+                img = memo[(b,) + zeros] = img * images[n]
         memo[m] = img
     return img
 
@@ -461,7 +465,7 @@ def reduce_mod_ideal(f, n):
     out_ring = f.ring.residue_ring()
     terms = {}
     for m, c in f.terms.items():
-        if any(idx < n for idx, _ in m):
+        if divisible_below(m, n):
             continue
         if not is_integral(c):
             raise NotIntegral("surviving term has a non-integral coefficient")
@@ -484,12 +488,12 @@ def _monomials_of_weight(q, N, w):
     of v_1..v_{N-1} of the weight left.  Every generator has positive
     weight, so no monomial of weight w extends another."""
     if N == 0:
-        return (ONE_MONOMIAL,) if w == 0 else ()
+        return ((),) if w == 0 else ()
     wn = q ** N - 1
     out = []
     for a in range(w // wn, -1, -1):
-        top = ((N, a),) if a else ()
-        out += [m + top for m in _monomials_of_weight(q, N - 1, w - a * wn)]
+        out += [(a,) + widen(m, N - 1) if a else m
+                for m in _monomials_of_weight(q, N - 1, w - a * wn)]
     return tuple(out)
 
 

@@ -5,15 +5,15 @@ Torsion questions for a cyclic module R/J with p in J reduce to normal
 forms modulo a Groebner basis of the reduction of J over F_p, taken with
 respect to the same monomial order as everywhere else (highest generator
 index most significant).  Completion, normal forms and the v_n-power scans
-run on one private format: a dict from an exponent tuple (a_W, ..., a_1),
-highest generator first, to an int in 1..p-1, so that plain tuple order is
-the monomial order, divisibility is a componentwise <=, a product of
-monomials a componentwise sum and an inverse pow(c, p - 2, p), with no
-ResidueElement and no sorted monomial built per step (dense exponent
-vectors in division as in Monagan & Pearce, CASC 2007).  GradedPolys
-appear only at the boundary: the generators are read in once, and the
-basis, the witness normal forms and the quotients y are read out for
-callers and for to_json.  Local cohomology reads the p-parts of the
+run on a dict from a GradedPoly monomial (a_W, ..., a_1), padded with
+leading zeros to the one width W of the computation, to an int in 1..p-1:
+plain tuple order is then the monomial order, divisibility a componentwise
+<=, a product of monomials a componentwise sum and an inverse
+pow(c, p - 2, p), with no ResidueElement built per step (dense exponent
+vectors in division as in Monagan & Pearce, CASC 2007).  GradedPolys appear
+only at the boundary, where monomials are padded and stripped: the
+generators are read in once, and the basis, the witness normal forms and
+the quotients y are read out.  Local cohomology reads the p-parts of the
 elementary divisors, and the rank, from one fraction-free elimination over
 Z_(p); `smith_normal_form`, the exact oracle the tests check it against,
 runs a Smith elimination on the matrix bordered by identities, so U and V
@@ -28,14 +28,16 @@ from operator import add, ge, mul, neg, sub
 
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
 from .formal import trivial_tower
-from .gradedpoly import GradedPoly, PolyRing, reduce_mod_ideal
+from .gradedpoly import GradedPoly, PolyRing, reduce_mod_ideal, strip, widen
 from .numberring import (
     INFINITY,
     ReadOnly,
     ResidueElement,
     TowerDescriptor,
+    is_integral,
     is_prime,
     padic_valuation_rational,
+    parse_integer,
 )
 
 
@@ -59,15 +61,16 @@ class CyclicModulePresentation(ReadOnly):
     @staticmethod
     def from_json(obj):
         """Parse a module spec and check it: a prime p, N >= 0, homogeneous
-        generators in v_1..v_N and a context tower over the same p.  A
-        malformed spec raises ConfigParseError."""
+        generators in v_1..v_N over Z_(p), finitely_presented true or false
+        (default true) and a context "bp" (default) or {"tower": T} with T
+        over the same p.  A malformed spec raises ConfigParseError."""
         if not isinstance(obj, dict) or "p" not in obj or "N" not in obj:
             raise ConfigParseError("module spec must be an object with 'p' and 'N'")
         ideal = obj.get("ideal", [])
         if not isinstance(ideal, list):
             raise ConfigParseError("module spec: 'ideal' must be a list of polynomials")
         try:
-            p, N = int(obj["p"]), int(obj["N"])
+            p, N = parse_integer(obj["p"]), parse_integer(obj["N"])
         except (TypeError, ValueError) as ex:
             raise ConfigParseError("module spec: p and N must be integers (%s)" % ex)
         if not is_prime(p) or N < 0:
@@ -75,23 +78,29 @@ class CyclicModulePresentation(ReadOnly):
         try:
             gens = tuple(GradedPoly.from_json(PolyRing(trivial_tower(p)), g) for g in ideal)
             context = obj.get("context", "bp")
-            if isinstance(context, dict) and "tower" in context:
+            if isinstance(context, dict) and context.keys() == {"tower"}:
                 context = TowerDescriptor.from_json(context["tower"])
         except (KeyError, TypeError, ValueError, AttributeError, IndexError,
                 ZeroDivisionError) as ex:
             raise ConfigParseError("module spec: %s: %s" % (type(ex).__name__, ex))
+        if not (isinstance(context, TowerDescriptor) or context == "bp"):
+            raise ConfigParseError('module spec: context must be "bp" or {"tower": ...}')
         for g in gens:
-            if any(not 1 <= n <= N for m in g.terms for n, _ in m):
+            if _width([g]) > N:
                 raise ConfigParseError(
                     "module spec: the ideal names a generator outside v_1..v_%d" % N
                 )
             if not g.is_homogeneous():
                 raise ConfigParseError("module spec: ideal generators must be homogeneous")
+            if not all(map(is_integral, g.terms.values())):
+                raise ConfigParseError("module spec: coefficients must lie in Z_(%d)" % p)
         if isinstance(context, TowerDescriptor) and context.p != p:
             raise ConfigParseError(
                 "module spec: context tower has p = %d, not %d" % (context.p, p)
             )
-        finitely_presented = bool(obj.get("finitely_presented", True))
+        finitely_presented = obj.get("finitely_presented", True)
+        if not isinstance(finitely_presented, bool):
+            raise ConfigParseError("module spec: 'finitely_presented' must be true or false")
         return CyclicModulePresentation(p, N, gens, finitely_presented, context,
                                         _detect_p_power(gens, p))
 
@@ -130,30 +139,18 @@ def _detect_p_power(gens, p):
 
 
 def _dense(f, width):
-    """The GradedPoly f over F_p as exponent tuples of the given width, at
-    least the highest generator index of f."""
-    terms = {}
-    for m, c in f.terms.items():
-        e = [0] * width
-        for n, a in m:
-            e[width - n] = a
-        terms[tuple(e)] = c.vec[0]
-    return terms
+    """The GradedPoly f over F_p as exponent tuples of width >= _width([f])."""
+    return {widen(m, width): c.vec[0] for m, c in f.terms.items()}
 
 
 def _sparse(ring, f):
     """The dict f as a GradedPoly over `ring`, a residue ring over F_p."""
-    terms = {}
-    for e, c in f.items():
-        w = len(e)
-        terms[tuple((w - i, e[i]) for i in range(w - 1, -1, -1) if e[i])] = (
-            ResidueElement(ring.tower, (c,)))
-    return GradedPoly(ring, terms)
+    return GradedPoly(ring, {strip(e): ResidueElement(ring.tower, (c,)) for e, c in f.items()})
 
 
 def _width(polys):
     """The highest generator index among the GradedPolys, 0 for constants."""
-    return max((m[-1][0] for f in polys for m in f.terms if m), default=0)
+    return max((len(m) for f in polys for m in f.terms), default=0)
 
 
 def _shift(f, e, c, p):
@@ -172,13 +169,13 @@ def _divide_by_var(f, n):
     return out
 
 
-def _divisor(f, pad=()):
-    """The monic f, widened by the leading zeros `pad`, as _remainder takes
-    it: (lead, tail) with every exponent tuple negated, so that a min-heap
-    pops the largest monomial first; the tail omits the leading term."""
+def _divisor(f, width=0):
+    """The monic f, widened to `width`, as _remainder takes it: (lead, tail)
+    with every exponent tuple negated, so that a min-heap pops the largest
+    monomial first; the tail omits the leading term."""
     lead = max(f)
-    return (tuple(map(neg, pad + lead)),
-            [(tuple(map(neg, pad + e)), c) for e, c in f.items() if e != lead])
+    return (tuple(map(neg, widen(lead, width))),
+            [(tuple(map(neg, widen(e, width))), c) for e, c in f.items() if e != lead])
 
 
 def _remainder(f, divisors, p):
@@ -250,8 +247,7 @@ class GroebnerBasis:
         """The basis as _remainder takes it, widened to `width` >= self.width."""
         divs = self._divisors.get(width)
         if divs is None:
-            pad = (0,) * (width - self.width)
-            divs = self._divisors[width] = [_divisor(b, pad) for b in self.polys]
+            divs = self._divisors[width] = [_divisor(b, width) for b in self.polys]
         return divs
 
 
@@ -363,7 +359,7 @@ def _power_normal_forms(gb, n):
     if n not in gb.power_forms:
         # a leading monomial divides a power of v_n when its only nonzero
         # exponent, if any, is that of v_n
-        leads = [(0,) * (width - gb.width) + max(b) for b in gb.polys]
+        leads = [widen(max(b), width) for b in gb.polys]
         powers = (lead[width - n] or 1 for lead in leads if sum(lead) == lead[width - n])
         gb.power_forms[n] = (1 if gb.truncated else min(powers, default=None), [])
     j, forms = gb.power_forms[n]
@@ -589,8 +585,11 @@ def realizability_obstruction(module, k_max=20, m_max=32):
          v_n-power-torsion for some n (with V^A itself witnessed by 1);
     R3 — finite presentation declared and every scanned v_n is torsion.
 
-    Otherwise NoObstructionFound with the scan log, or OutsideScope.
+    Otherwise NoObstructionFound with the scan log, or OutsideScope.  With
+    k_max < 1 no power is scanned, so R1 could fire on v_n in J: ValueError.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     bounds = {"k_max": k_max, "m_max": m_max}
     scan_log = []
 

@@ -61,6 +61,22 @@ BAD_MODULES = {
         _ideal_term({}, "2"),
         {"terms": [{"exps": {"1": 1}, "coeff": "1"}, {"exps": {"2": 1}, "coeff": "1"}]},
     ]),
+    # bool("false") is true: on (2, v_1, v_2) it would fire R3.
+    "finitely-presented-text": _module(
+        ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}), _ideal_term({"2": 1})],
+        finitely_presented="false"),
+    "context-text": _module(context="xyz"),
+    "context-key": _module(context={"towr": {}}),
+    # int() would read these as 2, v_1 and v_1.
+    "p-fraction": _module(p=2.7),
+    "exponent-fraction": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1.5})]),
+    "exponent-bool": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"1": True})]),
+    # Read as v_1^2, and as (2, v_1) instead of (2, 2 v_1).
+    "generator-twice": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1, "01": 2})]),
+    "monomial-twice": _module(ideal=[_ideal_term({}, "2"), {"terms": [
+        {"exps": {"1": 1}, "coeff": "1"}, {"exps": {"1": 1}, "coeff": "1"}]}]),
+    "coefficient-not-p-integral": _module(
+        ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}, "1/2")]),
 }
 
 
@@ -372,7 +388,20 @@ class TestCommands:
         path.write_text(json.dumps(spec))
         code, out, err = run(capsys, "obstruct", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("fmcalc: error: ") and err.count("\n") == 1
+        assert err.startswith("fmcalc: error: module spec") and err.count("\n") == 1
+
+    def test_obstruct_refuses_kmax_below_one(self, capsys, tmp_path):
+        # J = (2, v_1, v_2^3): v_1 lies in J.  kmax = 0 scans no power, so
+        # v_1 would count as not torsion and R1 fire with v_1's normal form 0.
+        spec = tmp_path / "mod.json"
+        spec.write_text(json.dumps(_module(
+            ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}), _ideal_term({"2": 3})],
+            finitely_presented=False)))
+        code, out, err = run(capsys, "obstruct", str(spec), "--kmax", "0")
+        assert (code, out, err) == (2, "", "fmcalc: error: kmax must be an integer >= 1\n")
+        code, out, _ = run(capsys, "obstruct", str(spec), "--kmax", "1")
+        cert = json.loads(out)["certificate"]
+        assert code == 0 and cert["verdict"] == "NoObstructionFound"
 
     def test_verify_rational_iso_at_N_0(self, capsys):
         # No generators: every weight's basis is empty except {1} in weight 0.

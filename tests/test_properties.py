@@ -36,7 +36,6 @@ from fmcalc.gradedpoly import (
     leading_monomial,
     leading_term,
     monomial,
-    monomial_divide,
     monomial_key,
     monomial_mul,
     monomial_weight,
@@ -317,6 +316,55 @@ def test_shift_is_the_product_with_one_term(data):
                 assert ts._sparse(ring, shifted) == f * term, ring
 
 
+def _is_canonical(m):
+    """A monomial key is () or an exponent tuple whose first exponent, that
+    of its highest generator, is nonzero."""
+    return m == () or (type(m) is tuple and m[0] > 0 and min(m) >= 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_every_operation_yields_canonical_monomials(data):
+    # Products, shifts and divisions widen exponent tuples to a common
+    # width; what they return must carry no leading zero, or equal
+    # monomials would be two keys.
+    T = data.draw(st.sampled_from(TOWERS))
+    for ring, coeffs in ((PolyRing(T), elements(T)), (PolyRing(T, "residue"), residues(T))):
+        f = data.draw(polys(ring, coeffs, 3))
+        g = data.draw(polys(ring, coeffs, 3))
+        d = data.draw(polys(ring, coeffs, 2))
+        assume(d)
+        quots, rem = divide(f * g + f, [d, g] if g else [d])
+        results = [f + g, f - g, f * g, f * f, f.shift(data.draw(monomials)),
+                   f ** data.draw(st.integers(0, 3)), rem] + quots
+        for h in results:
+            assert all(map(_is_canonical, h.terms)), (ring, h)
+    table = compute_gamma(trivial_tower(2), TOWERS[0], 3)
+    table.monomial_image(data.draw(monomials))
+    assert all(map(_is_canonical, table.monomials))
+    assert all(_is_canonical(m) for img in table.monomials.values() for m in img.terms)
+    p = data.draw(st.sampled_from([2, 3]))
+    basis = graded_basis(PolyRing(trivial_tower(p)), data.draw(st.integers(0, 4)), 3 * p)
+    assert all(_is_canonical(m) for ms in basis.values() for m in ms)
+
+
+def test_polynomials_built_from_different_generators_are_equal():
+    # (v_1 + v_2) * v_1 - v_2 * v_1 is built from v_1 and v_2; v_1^2 from
+    # v_1 alone.  Both hold the one key of v_1^2.
+    for ring in (PolyRing(TOWERS[0]), PolyRing(TOWERS[1], "residue")):
+        v1, v2 = ring.gen(1), ring.gen(2)
+        lhs, rhs = (v1 + v2) * v1 - v2 * v1, v1 ** 2
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+        assert list(lhs.terms) == list(rhs.terms) == [monomial({1: 2})]
+
+
+def test_monomial_refuses_generators_below_v1():
+    for exps in ({0: 1}, {-1: 2}, {1: 1, 0: 3}):
+        with pytest.raises(ValueError, match="no generator"):
+            monomial(exps)
+    assert monomial({0: 0, 2: 0}) == () and monomial({3: 1, 1: 2}) == (1, 0, 2)
+
+
 # gamma tables at N = 3: from Q_p into every tower, and from the unramified
 # layer into the f = 2, e = 2 tower.
 GAMMA_PAIRS = [(trivial_tower(T.p), T) for T in TOWERS] + [(TOWERS[2], TOWERS[3])]
@@ -334,10 +382,24 @@ def test_gamma_is_a_ring_map(pair, data):
     assert table.apply(f + g) == table.apply(f) + table.apply(g)
 
 
+def _exponents(m):
+    """{n: a} over the generators v_n^a of the exponent tuple m = (a_W, ...,
+    a_1), read from its definition."""
+    return {len(m) - i: a for i, a in enumerate(m) if a}
+
+
+def _quotient(x, y):
+    """The monomial x / y from the exponents, None when y does not divide x."""
+    ex, ey = _exponents(x), _exponents(y)
+    if any(ex.get(n, 0) < a for n, a in ey.items()):
+        return None
+    return monomial({n: a - ey.get(n, 0) for n, a in ex.items()})
+
+
 def _image_from_scratch(table, m):
     """gamma(m) as the product of gamma(v_n)^a over m's factors."""
     out = table.target_ring.one()
-    for n, a in m:
+    for n, a in _exponents(m).items():
         out = out * table.image(n) ** a
     return out
 
@@ -429,7 +491,7 @@ def _check_division(f, divisors):
     assert total == f
     leads = [leading_monomial(d) for d in divisors]
     for m in rem.terms:
-        assert all(monomial_divide(m, lm) is None for lm in leads)
+        assert all(_quotient(m, lm) is None for lm in leads)
     # Each step takes the leading term of what is left, so the remainder's
     # terms arrive in descending order.
     assert list(rem.terms) == sorted(rem.terms, key=monomial_key, reverse=True)
@@ -476,7 +538,7 @@ def _reference_compare(x, y):
     """The monomial order by its definition: -1, 0 or 1 as x is below,
     equal to or above y, exponents compared from the highest generator
     index present in either monomial down."""
-    dx, dy = dict(x), dict(y)
+    dx, dy = _exponents(x), _exponents(y)
     for n in sorted(set(dx) | set(dy), reverse=True):
         a, b = dx.get(n, 0), dy.get(n, 0)
         if a != b:
@@ -565,14 +627,14 @@ def _reference_groebner(gens, degree_bound):
     while pairs:
         i, j = pairs.pop()
         mi, mj = leading_monomial(basis[i]), leading_monomial(basis[j])
-        di, dj = dict(mi), dict(mj)
+        di, dj = _exponents(mi), _exponents(mj)
         lcm = monomial({n: max(di.get(n, 0), dj.get(n, 0)) for n in di.keys() | dj.keys()})
         if monomial_mul(mi, mj) == lcm:
             continue
         if monomial_weight(lcm, basis[0].ring.q) > degree_bound:
             truncated = True
             continue
-        s = basis[i].shift(monomial_divide(lcm, mi)) - basis[j].shift(monomial_divide(lcm, mj))
+        s = basis[i].shift(_quotient(lcm, mi)) - basis[j].shift(_quotient(lcm, mj))
         rem = divide(s, basis)[1]
         if rem:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
@@ -604,20 +666,20 @@ def generator_lists(draw):
 
 
 def _fp_poly(p, terms):
-    """A polynomial over F_p from {monomial exponents: int coefficient}."""
+    """A polynomial over F_p from {monomial: int coefficient}."""
     ring = RESIDUE_RINGS[p]
-    return GradedPoly(ring, {monomial(m): ring.coeff_from_int(c) for m, c in terms.items()})
+    return GradedPoly(ring, {m: ring.coeff_from_int(c) for m, c in terms.items()})
 
 
 # At p = 2, (v_1, v_1) and (v_2, v_2 + v_1^3) repeat a leading monomial,
 # and the inter-reduction drops both elements of the pair.
-V1, V2 = _fp_poly(2, {((1, 1),): 1}), _fp_poly(2, {((2, 1),): 1})
-V2_PLUS_V1_CUBED = _fp_poly(2, {((2, 1),): 1, ((1, 3),): 1})
+V1, V2 = _fp_poly(2, {monomial({1: 1}): 1}), _fp_poly(2, {monomial({2: 1}): 1})
+V2_PLUS_V1_CUBED = _fp_poly(2, {monomial({2: 1}): 1, monomial({1: 3}): 1})
 
 
 @PROPERTY_SETTINGS
 @given(generator_lists())
-@example(([V1, V1], 10 ** 6, V2 + _fp_poly(2, {((1, 3),): 1})))
+@example(([V1, V1], 10 ** 6, V2 + _fp_poly(2, {monomial({1: 3}): 1})))
 @example(([V2, V2_PLUS_V1_CUBED], 10 ** 6, V2))
 def test_groebner_core_matches_the_reference_loop(case):
     gens, bound, f = case
@@ -677,7 +739,7 @@ def _division_reference(ring, gb, N, r, s, m_max):
         nf = _power_form(ring, gb, r, m)
         if nf.is_zero():
             return {"found": True, "case": "zero", "m": m, "y": "0", "r": r, "s": s}
-        quotients = {monomial_divide(t, monomial({s: 1})): c for t, c in nf.terms.items()}
+        quotients = {_quotient(t, monomial({s: 1})): c for t, c in nf.terms.items()}
         if None not in quotients:
             return {"found": True, "case": "divide", "m": m,
                     "y": GradedPoly(ring, quotients).to_json(N), "r": r, "s": s}

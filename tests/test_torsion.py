@@ -639,6 +639,14 @@ class TestObstruction:
             make_module(2, 3, gens + [v_power(None, 1, 2, -1)]))
         assert (redundant.verdict, redundant.rules_fired) == (plain.verdict, plain.rules_fired)
 
+    def test_k_max_below_one_is_refused(self):
+        # With no power scanned, v_1 in J would read as not torsion.
+        m = make_module(2, 2, [v_power(None, 1, 1), v_power(None, 2, 3)],
+                        finitely_presented=False)
+        with pytest.raises(ValueError, match="k_max"):
+            ts.realizability_obstruction(m, k_max=0)
+        assert ts.realizability_obstruction(m, k_max=1).verdict == "NoObstructionFound"
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="R1 reads 'not v_1-torsion' from a scan bounded "
                        "by k_max, and v_1^21 = 0")
