@@ -4,20 +4,20 @@ degreewise local cohomology at (p), and nonrealizability certificates.
 Torsion questions for a cyclic module R/J with p in J reduce to normal
 forms modulo a Groebner basis of the reduction of J over F_p, taken with
 respect to the same monomial order as everywhere else (highest generator
-index most significant).  Completion, normal forms and the v_n-power scans
-run on a dict from a GradedPoly monomial (a_W, ..., a_1), padded with
-leading zeros to the one width W of the computation, to an int in 1..p-1:
-plain tuple order is then the monomial order, divisibility a componentwise
-<=, a product of monomials a componentwise sum and an inverse
-pow(c, p - 2, p), with no ResidueElement built per step (dense exponent
-vectors in division as in Monagan & Pearce, CASC 2007).  GradedPolys appear
-only at the boundary, where monomials are padded and stripped: the
-generators are read in once, and the basis, the witness normal forms and
-the quotients y are read out.  Local cohomology reads the p-parts of the
-elementary divisors, and the rank, from one fraction-free elimination over
-Z_(p); `smith_normal_form`, the exact oracle the tests check it against,
-runs a Smith elimination on the matrix bordered by identities, so U and V
-come out beside and below it.
+index most significant).  A module's generators are read once into dicts
+from monomials (exponent tuples, as gradedpoly.monomial builds them) to
+rationals in Z_(p).  Completion, normal forms and the v_n-power scans run
+on their reductions mod p: dicts from a monomial (a_W, ..., a_1), padded
+with leading zeros to the one width W = N of the computation, to an int in
+1..p-1.  Plain tuple order is then the monomial order, divisibility a
+componentwise <=, a product of monomials a componentwise sum and an inverse
+pow(c, p - 2, p) (dense exponent vectors in division as in Monagan &
+Pearce, CASC 2007).  The module and every witness are written from these
+dicts in GradedPoly.to_json's form, over Q_p and over F_p.  Local
+cohomology reads the p-parts of the elementary divisors, and the rank, from
+one fraction-free elimination over Z_(p); `smith_normal_form`, the exact
+oracle the tests check it against, runs a Smith elimination on the matrix
+bordered by identities, so U and V come out beside and below it.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ import itertools
 from operator import add, ge, mul, neg, sub
 
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
-from .formal import trivial_tower
-from .gradedpoly import GradedPoly, PolyRing, reduce_mod_ideal, strip, widen
+from .gradedpoly import monomial, monomial_key, monomial_to_json, monomial_weight, widen
 from .numberring import (
     INFINITY,
     ReadOnly,
-    ResidueElement,
     TowerDescriptor,
-    is_integral,
+    format_rational,
     is_prime,
     padic_valuation_rational,
     parse_integer,
+    parse_rational,
 )
 
 
@@ -48,15 +47,12 @@ from .numberring import (
 class CyclicModulePresentation(ReadOnly):
     """R/J for R = Z_(p)[v_1..v_N] (the q = p grading) and J homogeneous.
 
-    gens: the generators of J, GradedPoly over the trivial tower with field
-    coefficients; context: "bp" or a TowerDescriptor; contains_p: the
-    smallest a with p^a among the constant generators, or None."""
+    gens: the generators of J, each a dict from a monomial to a nonzero
+    rational in Z_(p), an int or a Fraction; context: "bp" or a
+    TowerDescriptor; contains_p: the least valuation of a constant generator
+    (0 for a unit), or None when there is none."""
 
     __slots__ = ("p", "N", "gens", "finitely_presented", "context", "contains_p")
-
-    @property
-    def ring(self):
-        return PolyRing(trivial_tower(self.p))
 
     @staticmethod
     def from_json(obj):
@@ -76,7 +72,7 @@ class CyclicModulePresentation(ReadOnly):
         if not is_prime(p) or N < 0:
             raise ConfigParseError("module spec: p must be a prime and N nonnegative")
         try:
-            gens = tuple(GradedPoly.from_json(PolyRing(trivial_tower(p)), g) for g in ideal)
+            gens = tuple(map(_read_generator, ideal))
             context = obj.get("context", "bp")
             if isinstance(context, dict) and context.keys() == {"tower"}:
                 context = TowerDescriptor.from_json(context["tower"])
@@ -86,13 +82,13 @@ class CyclicModulePresentation(ReadOnly):
         if not (isinstance(context, TowerDescriptor) or context == "bp"):
             raise ConfigParseError('module spec: context must be "bp" or {"tower": ...}')
         for g in gens:
-            if _width([g]) > N:
+            if any(len(m) > N for m in g):
                 raise ConfigParseError(
                     "module spec: the ideal names a generator outside v_1..v_%d" % N
                 )
-            if not g.is_homogeneous():
+            if len({monomial_weight(m, p) for m in g}) > 1:
                 raise ConfigParseError("module spec: ideal generators must be homogeneous")
-            if not all(map(is_integral, g.terms.values())):
+            if any(c.denominator % p == 0 for c in g.values()):
                 raise ConfigParseError("module spec: coefficients must lie in Z_(%d)" % p)
         if isinstance(context, TowerDescriptor) and context.p != p:
             raise ConfigParseError(
@@ -101,8 +97,10 @@ class CyclicModulePresentation(ReadOnly):
         finitely_presented = obj.get("finitely_presented", True)
         if not isinstance(finitely_presented, bool):
             raise ConfigParseError("module spec: 'finitely_presented' must be true or false")
-        return CyclicModulePresentation(p, N, gens, finitely_presented, context,
-                                        _detect_p_power(gens, p))
+        # a homogeneous generator with a constant term is a constant
+        contains_p = min((padic_valuation_rational(g[()], p) for g in gens if () in g),
+                         default=None)
+        return CyclicModulePresentation(p, N, gens, finitely_presented, context, contains_p)
 
     def to_json(self):
         ctx = (
@@ -113,44 +111,45 @@ class CyclicModulePresentation(ReadOnly):
         return {
             "p": self.p,
             "N": self.N,
-            "ideal": [g.to_json(self.N) for g in self.gens],
+            "ideal": [_poly_json(g, self.p, self.N, field=True) for g in self.gens],
             "finitely_presented": self.finitely_presented,
             "context": ctx,
         }
 
 
-def _detect_p_power(gens, p):
-    best = None
-    for g in gens:
-        if set(g.terms) == {()}:
-            c = g.terms[()]
-            # constant generator over the trivial tower: a rational
-            r = c.coords[0][0]
-            a = padic_valuation_rational(r, p)
-            if a >= 1 and (best is None or a < best):
-                best = a
-    return best
+def _read_generator(obj):
+    """A generator's JSON terms, read as GradedPoly.from_json reads them
+    over Q_p, as a dict from monomials to the nonzero rationals.  A
+    coefficient is text, a JSON int, or its coordinate rows over Q_p: one
+    row of at most one entry."""
+    terms = {}
+    for t in obj["terms"]:
+        exps = {int(n): parse_integer(a) for n, a in t["exps"].items()}
+        m = monomial(exps)
+        if len(exps) < len(t["exps"]) or m in terms:
+            raise ValueError("a generator or a monomial is listed twice")
+        c = t["coeff"]
+        if not isinstance(c, (str, int)):
+            if len(c) != 1 or len(c[0]) > 1:
+                raise ValueError("a coefficient over Q_p is one row of at most one entry")
+            c = c[0][0] if c[0] else 0
+        terms[m] = parse_rational(c)
+    return {m: c for m, c in terms.items() if c}
+
+
+def _poly_json(terms, p, N, field=False):
+    """The dict `terms` from monomials (of any widths) to coefficients as
+    GradedPoly.to_json writes it: over Q_p (field) a rational c has the
+    coordinate rows [[c]], over F_p an int c the vector [c]."""
+    return {"terms": [{"exps": monomial_to_json(m),
+                       "coeff": [[format_rational(terms[m])]] if field else [terms[m]]}
+                      for m in sorted(terms, key=monomial_key, reverse=True)],
+            "q": p, "N": N}
 
 
 # ---------------------------------------------------------------------------
 # Groebner bases over F_p, on exponent tuples (see the module docstring);
-# the tuples of one computation share the width W, the highest generator
-# index among the polynomials involved
-
-
-def _dense(f, width):
-    """The GradedPoly f over F_p as exponent tuples of width >= _width([f])."""
-    return {widen(m, width): c.vec[0] for m, c in f.terms.items()}
-
-
-def _sparse(ring, f):
-    """The dict f as a GradedPoly over `ring`, a residue ring over F_p."""
-    return GradedPoly(ring, {strip(e): ResidueElement(ring.tower, (c,)) for e, c in f.items()})
-
-
-def _width(polys):
-    """The highest generator index among the GradedPolys, 0 for constants."""
-    return max((len(m) for f in polys for m in f.terms), default=0)
+# the tuples of one computation share one width W
 
 
 def _shift(f, e, c, p):
@@ -215,33 +214,21 @@ def _remainder(f, divisors, p):
 
 
 class GroebnerBasis:
-    """A reduced basis over F_p, whether its completion was
-    degree-truncated, and per n the pair (j, forms): j is the first power of
-    v_n that a leading monomial divides, and forms the normal forms
-    NF(v_n^k), k = j, j+1, ..., that scans have taken so far (see
-    _power_normal_forms).
+    """A reduced basis over F_p, as dicts of exponent tuples of the given
+    width, whether its completion was degree-truncated, and per n the pair
+    (j, forms): j is the first power of v_n that a leading monomial
+    divides, and forms the normal forms NF(v_n^k), k = j, j+1, ..., that
+    scans have taken so far (see _power_normal_forms)."""
 
-    polys holds the basis as dicts of exponent tuples of the given width;
-    `basis` gives it as GradedPolys over `ring`, built on first use."""
+    __slots__ = ("p", "polys", "width", "truncated", "power_forms", "_divisors")
 
-    __slots__ = ("ring", "p", "polys", "width", "truncated", "power_forms", "_divisors",
-                 "_basis")
-
-    def __init__(self, ring, polys, width, truncated=False):
-        self.ring = ring
-        self.p = ring.tower.p if ring else None
+    def __init__(self, p, polys, width, truncated=False):
+        self.p = p
         self.polys = polys
         self.width = width
         self.truncated = truncated
         self.power_forms = {}
         self._divisors = {}
-        self._basis = None
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = [_sparse(self.ring, b) for b in self.polys]
-        return self._basis
 
     def divisors(self, width):
         """The basis as _remainder takes it, widened to `width` >= self.width."""
@@ -252,38 +239,33 @@ class GroebnerBasis:
 
 
 def normal_form(f, gb):
-    """Remainder of f on division by the basis; zero certifies membership
-    (only up to the truncation caveat, which is raised as an error).  f is a
-    GradedPoly, and so is the result, or a dict over F_p of width at least
-    gb.width, as the scans pass it."""
-    poly = isinstance(f, GradedPoly)
-    if poly:
-        ring, f = f.ring, _dense(f, max(gb.width, _width([f])))
+    """Remainder of f, a dict over F_p on exponent tuples of one width at
+    least gb.width, on division by the basis; zero certifies membership
+    (only up to the truncation caveat, which is raised as an error)."""
     rem = _remainder(f, gb.divisors(len(next(iter(f)))), gb.p) if f else f
     if gb.truncated and rem:
         raise TruncationUnsound(
             "basis was degree-truncated; nonzero normal form proves nothing"
         )
-    return _sparse(ring, rem) if poly else rem
+    return rem
 
 
-def groebner_basis(gens, degree_bound):
-    """Buchberger completion of homogeneous generators over F_p under the
-    monomial order, with S-polynomial weight capped by degree_bound.  The
-    GradedPolys are read into exponent tuples once, and the basis is read
-    out only when asked for (GroebnerBasis.basis)."""
-    gens = [g for g in gens if not g.is_zero()]
+def groebner_basis(gens, p, degree_bound):
+    """Buchberger completion over F_p of homogeneous generators, dicts from
+    exponent tuples of one width to ints in 0..p-1, under the monomial
+    order, with S-polynomial weight (grading q = p) capped by
+    degree_bound."""
+    gens = [g for g in ({e: c for e, c in g.items() if c} for g in gens) if g]
     if not gens:
-        return GroebnerBasis(None, [], 0)
-    ring = gens[0].ring
-    p, width = ring.tower.p, _width(gens)
-    weights = [ring.q ** n - 1 for n in range(width, 0, -1)]
+        return GroebnerBasis(p, [], 0)
+    width = len(next(iter(gens[0])))
+    weights = [p ** n - 1 for n in range(width, 0, -1)]
 
     def monic(f):
         inv = pow(f[max(f)], p - 2, p)
         return {e: c * inv % p for e, c in f.items()}
 
-    basis = [monic(_dense(g, width)) for g in gens]
+    basis = [monic(g) for g in gens]
     divisors = [_divisor(b) for b in basis]
     truncated = False
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -319,26 +301,28 @@ def groebner_basis(gens, degree_bound):
             reduced.append(monic(r))
     basis = list({frozenset(b.items()): b for b in reduced}.values())
     basis.sort(key=max)
-    return GroebnerBasis(ring, basis, width, truncated)
+    return GroebnerBasis(p, basis, width, truncated)
 
 
 def module_groebner(module, degree_bound=None):
-    """Groebner basis of the reduction mod p of the module's ideal."""
+    """Groebner basis of the reduction mod p of the module's ideal, on
+    exponent tuples of width N."""
     if module.contains_p is None:
         raise OutsideScope("torsion decisions require p in the ideal")
+    if module.contains_p == 0:
+        raise OutsideScope("the ideal contains a unit; the module is zero")
     if module.contains_p > 1:
         raise OutsideScope(
             "ideal contains p^%d but not p; outside the cyclic-over-F_p scope"
             % module.contains_p
         )
+    p, N = module.p, module.N
     if degree_bound is None:
-        degree_bound = 2 * (module.p ** module.N - 1)
-    reduced = []
-    for g in module.gens:
-        if set(g.terms) == {()}:
-            continue  # the generator p itself
-        reduced.append(reduce_mod_ideal(g, 1))
-    return groebner_basis(reduced, degree_bound)
+        degree_bound = 2 * (p ** N - 1)
+    # c = a/b in Z_(p) reduces to a * b^-1 mod p; the constant p reduces to 0
+    return groebner_basis(
+        [{widen(m, N): c.numerator * pow(c.denominator, -1, p) % p for m, c in g.items()}
+         for g in module.gens], p, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +339,12 @@ def _power_normal_forms(gb, n):
     the one before: unique on a complete basis.  The forms are kept on gb,
     so a later scan of the same n resumes where the longest one stopped."""
     width = max(gb.width, n)
-    unit = tuple(int(k == width - n) for k in range(width))  # v_n
+    unit = (0,) * (width - n) + (1,) + (0,) * (n - 1)  # v_n
     if n not in gb.power_forms:
         # a leading monomial divides a power of v_n when its only nonzero
-        # exponent, if any, is that of v_n
-        leads = [widen(max(b), width) for b in gb.polys]
-        powers = (lead[width - n] or 1 for lead in leads if sum(lead) == lead[width - n])
+        # exponent, if any, is that of v_n (the divisors' leads are negated)
+        powers = (-lead[width - n] or 1 for lead, _ in gb.divisors(width)
+                  if sum(lead) == lead[width - n])
         gb.power_forms[n] = (1 if gb.truncated else min(powers, default=None), [])
     j, forms = gb.power_forms[n]
 
@@ -376,10 +360,12 @@ def _power_normal_forms(gb, n):
 
 def is_vn_power_torsion(module, n, k_max, gb=None):
     """Smallest k <= k_max with v_n^k = 0 in R/J, else a bounded 'no' with
-    the nonzero normal forms as replayable witnesses."""
+    the nonzero normal forms of v_n and v_n^k_max as replayable witnesses.
+    With k_max < 1 no power would be scanned: ValueError."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     if gb is None:
         gb = module_groebner(module)
-    ring = module.ring.residue_ring()
     j, scan = _power_normal_forms(gb, n)
     forms = {}
     if j is not None:
@@ -387,14 +373,11 @@ def is_vn_power_torsion(module, n, k_max, gb=None):
             if not nf:
                 return {"torsion": True, "k": k, "n": n}
             forms[k] = nf
-    # witnesses: an unscanned power up to k_max lies below j; k_max < 1 scans none
-    nonzero = []
-    for k in (1, k_max):
-        if k in forms:
-            form = _sparse(ring, forms[k])
-        else:
-            form = ring.gen(n, k) if 1 <= k <= k_max else normal_form(ring.gen(n, k), gb)
-        nonzero.append({"element": "v_%d^%d" % (n, k), "normal_form": form.to_json(module.N)})
+    # an unscanned power lies below j and is its own normal form
+    nonzero = [{"element": "v_%d^%d" % (n, k),
+                "normal_form": _poly_json(forms.get(k) or {monomial({n: k}): 1},
+                                          module.p, module.N)}
+               for k in (1, k_max)]
     return {"torsion": False, "no_up_to": k_max, "n": n, "nonzero_normal_forms": nonzero}
 
 
@@ -403,11 +386,11 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
     is preferred over the division case at equal m."""
     if gb is None:
         gb = module_groebner(module)
-    ring = module.ring.residue_ring()
+    p, N = module.p, module.N
     j, scan = _power_normal_forms(gb, r_index)
     # below j, v_r^m is its own nonzero form, divisible by v_s only if s = r
     if r_index == s_index and m_max >= 1 and j != 1:
-        return {"found": True, "case": "divide", "m": 1, "y": ring.one().to_json(module.N),
+        return {"found": True, "case": "divide", "m": 1, "y": _poly_json({(): 1}, p, N),
                 "r": r_index, "s": s_index}
     if j is not None:
         for m, nf in zip(range(j, m_max + 1), scan):
@@ -417,7 +400,7 @@ def eventual_division_module(module, r_index, s_index, m_max, gb=None):
             y = _divide_by_var(nf, s_index)
             if y is not None:
                 return {"found": True, "case": "divide", "m": m,
-                        "y": _sparse(ring, y).to_json(module.N), "r": r_index, "s": s_index}
+                        "y": _poly_json(y, p, N), "r": r_index, "s": s_index}
     return {"found": False, "not_found_up_to": m_max, "r": r_index, "s": s_index}
 
 
@@ -616,6 +599,8 @@ def realizability_obstruction(module, k_max=20, m_max=32):
             reason="context tower is not totally ramified and "
             "the module is not p-power-torsion",
         )
+    if module.contains_p == 0:
+        return certificate("OutsideScope", reason="the ideal contains a unit; the module is zero")
     if module.contains_p is None:
         return certificate("OutsideScope", reason="ideal does not contain a power of p")
     if module.contains_p > 1:

@@ -77,6 +77,9 @@ BAD_MODULES = {
         {"exps": {"1": 1}, "coeff": "1"}, {"exps": {"1": 1}, "coeff": "1"}]}]),
     "coefficient-not-p-integral": _module(
         ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}, "1/2")]),
+    # Coordinate rows over Q_2: one row of at most one entry.
+    "coefficient-rows": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}, [["1"], ["0"]])]),
+    "coefficient-row": _module(ideal=[_ideal_term({}, "2"), _ideal_term({"1": 1}, [["1", "0"]])]),
 }
 
 

@@ -6,7 +6,8 @@ and single-monomial shifts, gamma
 as a ring map and its memoized monomial images, multivariate division,
 the remainders of successive powers and the monomial order, the monomials
 of one weight, Groebner bases over F_p against the reference Buchberger
-loop, normal forms modulo them and the v_n-power scans read from them, Smith normal form, and logs and gamma
+loop, normal forms modulo them and the v_n-power scans read from them, module specs as obstruct reads and writes
+them, with their certificates' witnesses, Smith normal form, and logs and gamma
 images that do not depend on N."""
 
 import itertools
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fmcalc import torsion as ts
-from fmcalc.errors import TruncationUnsound
+from fmcalc.errors import ConfigParseError, TruncationUnsound
 from fmcalc.formal import hazewinkel_log, log_closed_form, trivial_tower
 from fmcalc.gamma import (
     GammaTable,
@@ -38,8 +39,12 @@ from fmcalc.gradedpoly import (
     monomial,
     monomial_key,
     monomial_mul,
+    monomial_to_json,
     monomial_weight,
     monomials_of_weight,
+    reduce_mod_ideal,
+    strip,
+    widen,
 )
 from fmcalc.numberring import (
     FieldElement,
@@ -310,10 +315,9 @@ def test_shift_is_the_product_with_one_term(data):
             if ring.coefficients == "residue" and T.f == 1:
                 c = data.draw(st.integers(1, T.p - 1))
                 term = GradedPoly(ring, {m: ring.coeff_from_int(c)})
-                width = ts._width([f, term])
-                (e, _), = ts._dense(term, width).items()
-                shifted = ts._shift(ts._dense(f, width), e, c, T.p)
-                assert ts._sparse(ring, shifted) == f * term, ring
+                width = max(map(len, itertools.chain(f.terms, [m])))
+                shifted = ts._shift(_fp_dict(f, width), widen(m, width), c, T.p)
+                assert _from_fp_dict(ring, shifted) == f * term, ring
 
 
 def _is_canonical(m):
@@ -584,6 +588,29 @@ RESIDUE_RINGS = {p: PolyRing(trivial_tower(p), coefficients="residue") for p in 
 RESIDUE_BASES = {p: graded_basis(ring, 3, 2 * (ring.q ** 3 - 1)) for p, ring in RESIDUE_RINGS.items()}
 
 
+def _fp_dict(f, width=3):
+    """The polynomial f over F_p as the Groebner core takes it: a dict from
+    exponent tuples of the given width (v_1..v_3 by default) to ints."""
+    return {widen(m, width): c.vec[0] for m, c in f.terms.items()}
+
+
+def _from_fp_dict(ring, f):
+    """The dict f of the Groebner core as a polynomial over `ring`."""
+    return GradedPoly(ring, {strip(e): ring.coeff_from_int(c) for e, c in f.items()})
+
+
+def _groebner(gens, degree_bound):
+    """groebner_basis of the polynomials over F_p, in v_1..v_3."""
+    p = gens[0].ring.tower.p
+    return ts.groebner_basis([_fp_dict(g) for g in gens], p, degree_bound)
+
+
+def _normal_form(f, gb):
+    """normal_form of the polynomial f, as a polynomial over f's ring."""
+    width = max([3, *map(len, f.terms)])
+    return _from_fp_dict(f.ring, ts.normal_form(_fp_dict(f, width), gb))
+
+
 @st.composite
 def homogeneous_polys(draw, p, lead=None):
     """A homogeneous polynomial over F_p in v_1..v_3: `lead` (default: a
@@ -607,7 +634,7 @@ def complete_bases(draw):
     p = draw(st.sampled_from([2, 3]))
     powers = st.builds(lambda n, a: monomial({n: a}), st.integers(1, 3), st.integers(1, 2))
     gens = draw(st.lists(powers.flatmap(lambda m: homogeneous_polys(p, m)), min_size=1, max_size=3))
-    gb = ts.groebner_basis(gens, 10 ** 6)
+    gb = _groebner(gens, 10 ** 6)
     assume(not gb.truncated)
     return RESIDUE_RINGS[p], gens, gb
 
@@ -683,15 +710,15 @@ V2_PLUS_V1_CUBED = _fp_poly(2, {monomial({2: 1}): 1, monomial({1: 3}): 1})
 @example(([V2, V2_PLUS_V1_CUBED], 10 ** 6, V2))
 def test_groebner_core_matches_the_reference_loop(case):
     gens, bound, f = case
-    gb = ts.groebner_basis(gens, bound)
+    gb = _groebner(gens, bound)
     basis, truncated = _reference_groebner(gens, bound)
-    assert (gb.basis, gb.truncated) == (basis, truncated)
+    assert ([_from_fp_dict(f.ring, b) for b in gb.polys], gb.truncated) == (basis, truncated)
     rem = divide(f, basis)[1]
     if truncated and rem:
         with pytest.raises(TruncationUnsound):
-            ts.normal_form(f, gb)
+            _normal_form(f, gb)
     else:
-        assert ts.normal_form(f, gb) == rem
+        assert _normal_form(f, gb) == rem
 
 
 @PROPERTY_SETTINGS
@@ -699,11 +726,11 @@ def test_groebner_core_matches_the_reference_loop(case):
 def test_normal_form_is_idempotent_and_independent_of_generator_order(args, data):
     ring, gens, gb = args
     f = data.draw(homogeneous_polys(ring.tower.p))
-    nf = ts.normal_form(f, gb)
-    assert ts.normal_form(nf, gb) == nf
-    assert ts.normal_form(f - nf, gb).is_zero()
+    nf = _normal_form(f, gb)
+    assert _normal_form(nf, gb) == nf
+    assert _normal_form(f - nf, gb).is_zero()
     order = data.draw(st.permutations(gens))
-    assert ts.normal_form(f, ts.groebner_basis(order, 10 ** 6)) == nf
+    assert _normal_form(f, _groebner(order, 10 ** 6)) == nf
 
 
 @PROPERTY_SETTINGS
@@ -715,12 +742,12 @@ def test_scanned_powers_match_normal_forms_from_scratch(args, n):
     j, scan = ts._power_normal_forms(gb, n)
     for k in range(1, 9):
         power = GradedPoly(ring, {monomial({n: k}): ring.coeff_one()})
-        nf = power if j is None or k < j else ts._sparse(ring, next(scan))
-        assert nf == ts.normal_form(power, gb)
+        nf = power if j is None or k < j else _from_fp_dict(ring, next(scan))
+        assert nf == _normal_form(power, gb)
 
 
 def _power_form(ring, gb, n, k):
-    return ts.normal_form(GradedPoly(ring, {monomial({n: k}): ring.coeff_one()}), gb)
+    return _normal_form(GradedPoly(ring, {monomial({n: k}): ring.coeff_one()}), gb)
 
 
 def _torsion_reference(ring, gb, N, n, k_max):
@@ -754,10 +781,126 @@ def test_scans_match_reports_from_scratch(args, s):
     ring, _, gb = args
     module = ts.CyclicModulePresentation(ring.tower.p, 4, (), True, "bp", 1)
     for n, bound in itertools.product(range(1, 5), (0, 1, 2, 8)):
-        assert ts.is_vn_power_torsion(module, n, bound, gb=gb) == _torsion_reference(
-            ring, gb, 4, n, bound)
+        if bound:
+            assert ts.is_vn_power_torsion(module, n, bound, gb=gb) == _torsion_reference(
+                ring, gb, 4, n, bound)
+        else:
+            with pytest.raises(ValueError):
+                ts.is_vn_power_torsion(module, n, bound, gb=gb)
         assert ts.eventual_division_module(module, n, s, bound, gb=gb) == _division_reference(
             ring, gb, 4, n, s, bound)
+
+
+# ---------------------------------------------------------------------------
+# Module specs: read into rationals, written as GradedPoly writes them
+
+
+@st.composite
+def spec_coefficients(draw, p):
+    """A coefficient in Z_(p), possibly 0, as integer text, a JSON int,
+    "a/b" text with p not dividing b, or one coordinate row: [[text]], or
+    [[]] for 0."""
+    a = draw(st.integers(-6, 6))
+    b = draw(st.sampled_from([b for b in range(1, 8) if b % p]))
+    form = draw(st.sampled_from(["text", "int", "ratio", "row", "row-ratio", "row-empty"]))
+    if form == "int":
+        return a
+    if form == "row-empty":
+        return [[]]
+    text = "%d/%d" % (a, b) if form.endswith("ratio") else str(a)
+    return [[text]] if form.startswith("row") else text
+
+
+@st.composite
+def spec_generators(draw, p, N):
+    """A homogeneous generator in v_1..v_N of weight 0 (a constant) or
+    k (p - 1), k <= 6, with up to three terms, any of them zero."""
+    weights = [w for w in [0] + [k * (p - 1) for k in range(1, 7)] if monomials_of_weight(p, N, w)]
+    w = draw(st.sampled_from(weights))
+    monos = draw(st.lists(st.sampled_from(monomials_of_weight(p, N, w)), min_size=1,
+                          max_size=3, unique=True))
+    return {"terms": [{"exps": monomial_to_json(m), "coeff": draw(spec_coefficients(p))}
+                      for m in monos]}
+
+
+@st.composite
+def module_specs(draw):
+    """A module spec over p in {2, 3, 5}, N <= 4: mostly with p among the
+    generators, so that its scans run."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    N = draw(st.integers(0, 4))
+    ideal = draw(st.lists(spec_generators(p, N), max_size=3))
+    if draw(st.integers(0, 3)):
+        ideal.insert(draw(st.integers(0, len(ideal))), {"terms": [{"exps": {}, "coeff": str(p)}]})
+    return {"p": p, "N": N, "ideal": ideal, "finitely_presented": draw(st.booleans()),
+            "context": "bp"}
+
+
+def _quotient_json(f, s, N):
+    """f / v_s term by term, written by to_json."""
+    return GradedPoly(f.ring, {_quotient(m, monomial({s: 1})): c
+                               for m, c in f.terms.items()}).to_json(N)
+
+
+@PROPERTY_SETTINGS
+@given(module_specs())
+# J = (3, 1/2 v_2 + 1/4 v_1^4): R1 fires with a division witness y, whose
+# coefficient 2 is wrong unless each denominator is inverted mod 3.
+@example({"p": 3, "N": 2, "finitely_presented": True, "context": "bp", "ideal": [
+    {"terms": [{"exps": {}, "coeff": 3}]},
+    {"terms": [{"exps": {"2": 1}, "coeff": "1/2"}, {"exps": {"1": 4}, "coeff": [["1/4"]]}]}]})
+def test_module_specs_read_and_write_as_gradedpoly_does(spec):
+    # The oracle reads each generator with GradedPoly.from_json, reduces it
+    # with reduce_mod_ideal, completes with the reference loop, takes normal
+    # forms with gradedpoly.divide and writes with to_json.
+    p, N = spec["p"], spec["N"]
+    module = ts.CyclicModulePresentation.from_json(spec)
+    polys = [GradedPoly.from_json(PolyRing(trivial_tower(p)), g) for g in spec["ideal"]]
+    assert module.to_json()["ideal"] == [f.to_json(N) for f in polys]
+    assert ts.CyclicModulePresentation.from_json(module.to_json()).to_json() == module.to_json()
+    constants = [f.terms[()].coords[0][0] for f in polys if () in f.terms]
+    assert module.contains_p == min((padic_valuation_rational(c, p) for c in constants),
+                                    default=None)
+    if module.contains_p != 1:
+        assert ts.realizability_obstruction(module).verdict == "OutsideScope"
+        return
+    ring = RESIDUE_RINGS[p]
+    basis, truncated = _reference_groebner([reduce_mod_ideal(f, 1) for f in polys],
+                                           2 * (p ** N - 1))
+    try:
+        cert = ts.realizability_obstruction(module, k_max=4, m_max=4)
+    except TruncationUnsound:
+        assert truncated
+        return
+    for entry in cert.scan_log:
+        for w in entry.get("nonzero_normal_forms", []):
+            n, k = map(int, w["element"][2:].split("^"))
+            assert w["normal_form"] == divide(ring.gen(n, k), basis)[1].to_json(N)
+        if entry.get("found") and entry["case"] == "divide":
+            nf = divide(ring.gen(entry["r"], entry["m"]), basis)[1]
+            assert entry["y"] == _quotient_json(nf, entry["s"], N)
+
+
+SPEC_DEFECTS = {
+    "denominator-divisible-by-p": lambda p, N: {"terms": [{"exps": {}, "coeff": "1/%d" % p}]},
+    "generator-twice": lambda p, N: {"terms": [{"exps": {"1": 1, "01": 1}, "coeff": "1"}]},
+    "monomial-twice": lambda p, N: {"terms": [{"exps": {"1": 1}, "coeff": "1"},
+                                              {"exps": {"1": 1}, "coeff": "0"}]},
+    "generator-v0": lambda p, N: {"terms": [{"exps": {"0": 1}, "coeff": "0"}]},
+    "generator-above-N": lambda p, N: {"terms": [{"exps": {str(N + 1): 1}, "coeff": [["1"]]}]},
+    "inhomogeneous": lambda p, N: {"terms": [{"exps": {"1": 1}, "coeff": 1},
+                                             {"exps": {}, "coeff": "1"}]},
+}
+
+
+@PROPERTY_SETTINGS
+@given(module_specs(), st.sampled_from(sorted(SPEC_DEFECTS)), st.data())
+def test_module_spec_defects_are_refused(spec, defect, data):
+    # One defective generator anywhere in a spec refuses the whole spec.
+    at = data.draw(st.integers(0, len(spec["ideal"])))
+    spec["ideal"].insert(at, SPEC_DEFECTS[defect](spec["p"], spec["N"]))
+    with pytest.raises(ConfigParseError):
+        ts.CyclicModulePresentation.from_json(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ from fmcalc.gradedpoly import (
     PolyRing,
     divide,
     graded_basis,
-    leading_term,
     monomial,
     reduce_mod_ideal,
+    strip,
+    widen,
 )
 from fmcalc.numberring import TowerDescriptor, padic_valuation_rational
 from fmcalc.report import canonical_json
@@ -39,6 +40,21 @@ def make_module(p, N, gen_dicts, finitely_presented=True, context="bp",
 
 def v_power(ring, n, k, coeff=1):
     return {"terms": [{"exps": {str(n): k}, "coeff": str(coeff)}]}
+
+
+def fp_dict(f, width):
+    """The polynomial f over F_p as the Groebner core takes it: a dict from
+    exponent tuples of the given width to ints."""
+    return {widen(m, width): c.vec[0] for m, c in f.terms.items()}
+
+
+def fp_poly(ring, f):
+    """The dict f of the Groebner core as a polynomial over `ring`."""
+    return GradedPoly(ring, {strip(e): ring.coeff_from_int(c) for e, c in f.items()})
+
+
+def residue_ring(p):
+    return PolyRing(trivial_tower(p), "residue")
 
 
 class TestPresentation:
@@ -80,15 +96,12 @@ class TestGroebnerAndNormalForm:
     def test_single_generator(self):
         m = make_module(2, 3, [v_power(None, 1, 1)])
         gb = ts.module_groebner(m)
-        assert len(gb.basis) == 1
-        assert leading_term(gb.basis[0])[0] == monomial({1: 1})
+        assert gb.polys == [{(0, 0, 1): 1}]
 
     def test_normal_form_of_generator_is_zero(self):
         m = make_module(2, 3, [v_power(None, 1, 1)])
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
-        f = GradedPoly(ring, {monomial({1: 5, 2: 1}): ring.coeff_one()})
-        assert ts.normal_form(f, gb).is_zero()
+        assert ts.normal_form({(0, 1, 5): 1}, gb) == {}
 
     def test_normal_form_rewrites_v2(self):
         # J = (p, v_2 - v_1^{p+1}): v_2 has normal form v_1^3 at p = 2
@@ -99,10 +112,7 @@ class TestGroebnerAndNormalForm:
                         {"exps": {"1": 3}, "coeff": "-1"}]}],
         )
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
-        f = GradedPoly(ring, {monomial({2: 1}): ring.coeff_one()})
-        nf = ts.normal_form(f, gb)
-        assert set(nf.terms) == {monomial({1: 3})}
+        assert ts.normal_form({(0, 1, 0): 1}, gb) == {(0, 0, 3): 1}
 
     def test_normal_form_idempotent(self):
         m = make_module(
@@ -113,17 +123,16 @@ class TestGroebnerAndNormalForm:
              v_power(None, 3, 1)],
         )
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
+        ring = residue_ring(2)
         rng = random.Random(17)
         basis = [x for w, ms in graded_basis(ring, 3, 9).items() for x in ms]
         for _ in range(30):
-            f = GradedPoly(
-                ring,
-                {rng.choice(basis): ring.coeff_from_int(rng.randint(1, 1))
-                 for _ in range(3)},
-            )
+            f = {widen(rng.choice(basis), 3): 1 for _ in range(3)}
             nf = ts.normal_form(f, gb)
             assert ts.normal_form(nf, gb) == nf
+            # the oracle: gradedpoly.divide by the basis read back
+            assert fp_poly(ring, nf) == divide(
+                fp_poly(ring, f), [fp_poly(ring, b) for b in gb.polys])[1]
 
     def test_membership_product(self):
         # v_1 v_2 - v_1^4 = v_1 (v_2 - v_1^3) is in the ideal at p = 2
@@ -134,13 +143,16 @@ class TestGroebnerAndNormalForm:
                         {"exps": {"1": 3}, "coeff": "-1"}]}],
         )
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
-        f = GradedPoly(
-            ring,
-            {monomial({1: 1, 2: 1}): ring.coeff_one(),
-             monomial({1: 4}): -ring.coeff_one()},
-        )
-        assert ts.normal_form(f, gb).is_zero()
+        assert ts.normal_form({(0, 1, 1): 1, (0, 0, 4): 1}, gb) == {}
+
+    def test_basis_is_read_mod_p_at_width_N(self):
+        # J = (3, 4 v_2 - 1/2 v_1^4, 3 v_1^2) at p = 3, N = 3: the second
+        # generator reduces to v_2 + v_1^4, the third to 0.
+        m = make_module(3, 3, [
+            {"terms": [{"exps": {"2": 1}, "coeff": "4"}, {"exps": {"1": 4}, "coeff": "-1/2"}]},
+            v_power(None, 1, 2, 3)])
+        gb = ts.module_groebner(m)
+        assert (gb.width, gb.polys) == (3, [{(0, 1, 0): 1, (0, 0, 4): 1}])
 
     def test_truncated_basis_refuses_nonzero_verdicts(self):
         m = make_module(
@@ -153,11 +165,11 @@ class TestGroebnerAndNormalForm:
         )
         gb = ts.module_groebner(m, degree_bound=3)
         assert gb.truncated
-        ring = gb.basis[0].ring
-        f = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
-        assert not divide(f, gb.basis)[1].is_zero()
+        ring = residue_ring(2)
+        f = ring.gen(1)
+        assert not divide(f, [fp_poly(ring, b) for b in gb.polys])[1].is_zero()
         with pytest.raises(TruncationUnsound):
-            ts.normal_form(f, gb)
+            ts.normal_form(fp_dict(f, 2), gb)
         # No leading monomial divides a power of v_1, yet neither scan may
         # read the powers as their own forms on a truncated basis.
         with pytest.raises(TruncationUnsound):
@@ -187,8 +199,8 @@ class TestGroebnerAndNormalForm:
                     gens.append(g)
             if not gens:
                 continue
-            gb = ts.groebner_basis([reduce_mod_ideal(g, 1) for g in gens], 16)
-            ring = gb.basis[0].ring
+            gb = ts.groebner_basis([fp_dict(reduce_mod_ideal(g, 1), 2) for g in gens], p, 16)
+            ring = residue_ring(p)
             rbasis = graded_basis(ring, 2, 8)
             for w in range(1, 9):
                 monos = rbasis.get(w, [])
@@ -202,7 +214,7 @@ class TestGroebnerAndNormalForm:
                     if rem < 0:
                         continue
                     for mult in rbasis.get(rem, []):
-                        prod = reduce_mod_ideal(g, 1) * type(gb.basis[0])(
+                        prod = reduce_mod_ideal(g, 1) * GradedPoly(
                             ring, {mult: ring.coeff_one()}
                         )
                         row = [0] * len(monos)
@@ -233,8 +245,7 @@ class TestGroebnerAndNormalForm:
                 rank = rr
                 killed = 0
                 for m in monos:
-                    f = GradedPoly(ring, {m: ring.coeff_one()})
-                    if ts.normal_form(f, gb).is_zero():
+                    if not ts.normal_form({widen(m, 2): 1}, gb):
                         killed += 1
                 # monomials with zero normal form span exactly the graded
                 # piece of the ideal intersected with monomials; compare
@@ -242,12 +253,8 @@ class TestGroebnerAndNormalForm:
                 # normal forms spans a complement of dimension len - rank
                 distinct_nfs = set()
                 for m in monos:
-                    f = GradedPoly(ring, {m: ring.coeff_one()})
-                    nf = ts.normal_form(f, gb)
-                    key = tuple(sorted(
-                        (mm, c.vec) for mm, c in nf.terms.items()
-                    ))
-                    distinct_nfs.add(key)
+                    nf = ts.normal_form({widen(m, 2): 1}, gb)
+                    distinct_nfs.add(tuple(sorted(nf.items())))
                 # the quotient in weight w has dimension len(monos) - rank;
                 # normal forms of a spanning set must not exceed that +1 (zero)
                 quotient_dim = len(monos) - rank
@@ -291,19 +298,22 @@ class TestPowerTorsion:
 
     def test_witnesses_are_normal_forms_of_the_first_and_last_power(self):
         # J = (p, v_2 - v_1^3): v_2^k rewrites to v_1^(3k).  With k_max = 0
-        # nothing is scanned and the witnesses are v_2^1 and v_2^0.
+        # nothing would be scanned, so it is refused.
         m = make_module(2, 2, [{"terms": [{"exps": {"2": 1}, "coeff": "1"},
                                           {"exps": {"1": 3}, "coeff": "-1"}]}])
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
-        for k_max in (0, 1, 4):
+        ring = residue_ring(2)
+        for k_max in (1, 4):
             rep = ts.is_vn_power_torsion(m, 2, k_max, gb=gb)
             assert [w["element"] for w in rep["nonzero_normal_forms"]] == [
                 "v_2^1", "v_2^%d" % k_max]
             for k, w in zip((1, k_max), rep["nonzero_normal_forms"]):
-                power = GradedPoly(ring, {monomial({2: k}): ring.coeff_one()})
-                assert w["normal_form"] == ts.normal_form(power, gb).to_json(2)
+                power = ring.gen(2, k)
+                nf = divide(power, [fp_poly(ring, b) for b in gb.polys])[1]
+                assert w["normal_form"] == nf.to_json(2)
             assert rep["nonzero_normal_forms"][0]["normal_form"]["terms"][0]["exps"] == {"1": 3}
+        with pytest.raises(ValueError):
+            ts.is_vn_power_torsion(m, 2, 0, gb=gb)
 
     def test_closure_under_quotient(self):
         # if v_1 is torsion in R/J, it stays torsion in R/(J + more)
@@ -542,6 +552,28 @@ class TestObstruction:
             assert div["case"] == "divide" and div["m"] == 1
             assert div["y"]["terms"][0]["exps"] == {"1": p}
 
+    @pytest.mark.parametrize("finitely_presented", [True, False])
+    @pytest.mark.parametrize("unit", ["3", "1/3"])
+    @pytest.mark.parametrize("tower_context", [True, False], ids=["f2-tower", "bp"])
+    def test_unit_in_the_ideal_is_outside_scope(self, unram2_f2, finitely_presented, unit,
+                                                 tower_context):
+        # J = (2, 3) at p = 2, N = 2 contains a unit, so R/J = 0 and v_1 lies
+        # in J.  Read as (2), it gave R2 with NF(v_1) = v_1 over the f = 2
+        # tower, and v_1, v_2 unresolved up to 20 over "bp".
+        obj = {"p": 2, "N": 2, "finitely_presented": finitely_presented,
+               "ideal": [{"terms": [{"exps": {}, "coeff": "2"}]},
+                         {"terms": [{"exps": {}, "coeff": unit}]}],
+               "context": {"tower": unram2_f2.to_json()} if tower_context else "bp"}
+        m = ts.CyclicModulePresentation.from_json(obj)
+        assert m.contains_p == 0
+        cert = ts.realizability_obstruction(m)
+        assert cert.to_json() == {
+            "verdict": "OutsideScope", "rules_fired": [], "scan_log": [],
+            "witnesses": {"reason": "the ideal contains a unit; the module is zero"},
+            "bounds": {"k_max": 20, "m_max": 32}}
+        with pytest.raises(OutsideScope):
+            ts.module_groebner(m)
+
     def test_va_unramified_r2(self, unram2_f2):
         obj = {
             "p": 2,
@@ -615,13 +647,13 @@ class TestObstruction:
         # replay the division witness by hand
         div = a["witnesses"]["division_witness"]
         gb = ts.module_groebner(m)
-        ring = gb.basis[0].ring
+        ring = residue_ring(2)
         lhs = GradedPoly(
             ring, {monomial({2: div["m"]}): ring.coeff_one()}
         )
         y = GradedPoly.from_json(ring, div["y"])
         v1 = GradedPoly(ring, {monomial({1: 1}): ring.coeff_one()})
-        assert ts.normal_form(lhs - v1 * y, gb).is_zero()
+        assert ts.normal_form(fp_dict(lhs - v1 * y, 2), gb) == {}
 
     # Known false certificates, kept until the Groebner core is sound and
     # torsion is decided exactly.  Each must fail as long as the defect

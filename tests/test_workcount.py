@@ -79,3 +79,22 @@ def test_workcount_reports_session_reuse(tmp_path):
     rows = {name: calls for name, _, calls in wc.named_counts(stats, wc.DEFAULT_NAMES)}
     assert rows["modp.smallest_irreducible"] == 1
     assert rows["gradedpoly.monomials_of_weight"] == 2 * 27 + 17
+
+
+def test_workcount_obstruct_jobs_build_no_polynomial_objects(tmp_path):
+    # The first ten torsion-batch jobs are obstruct jobs.  They read each
+    # module into rationals and work on F_p dicts from there to the report:
+    # no GradedPoly is built and no residue is reduced, and each job
+    # completes one Groebner basis.
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["torsion-batch"](1)[:10]
+    assert {job["kind"] for job in jobs} == {"obstruct"}
+    stats, _, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
+    assert raised == 0
+    rows = wc.named_counts(stats, ["gradedpoly.__init__", "modp.fq_reduce",
+                                   "torsion.groebner_basis"])
+    calls = {}
+    for name, _, n in rows:
+        calls[name] = calls.get(name, 0) + n
+    assert calls == {"gradedpoly.__init__": 0, "modp.fq_reduce": 0,
+                     "torsion.groebner_basis": len(jobs)}
