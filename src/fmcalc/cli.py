@@ -265,6 +265,10 @@ def suite_kappa(tower, N, settings):
 
 
 def suite_eventual_division(tower, N, settings):
+    # Each scan at n reads gamma(v_{n+1}); below N = 2 none runs, and a pass
+    # would check nothing.
+    if N < 2:
+        raise UsageError("verify eventual-division needs N >= 2")
     m_max = settings["mmax"]
     table = _gamma_table(tower, N)
     results = [gammamod.eventual_division_witness(table, n, m_max) for n in range(1, min(N, 3))]

@@ -15,6 +15,7 @@ with c_i the matched log coefficient.
 from __future__ import annotations
 
 import functools
+from operator import le
 
 from .errors import CongruenceFailed, IntegralityFailure, NotSubtower
 from .formal import hazewinkel_log
@@ -32,8 +33,9 @@ from .gradedpoly import (
     monomial_to_json,
     monomials_of_weight,
     reduce_mod_ideal,
+    widen,
 )
-from .numberring import ReadOnly, embed, is_integral, residue, valuation
+from .numberring import INFINITY, ReadOnly, embed, is_integral, residue, valuation
 
 
 class GammaTable(ReadOnly):
@@ -232,21 +234,11 @@ def kappa_congruence(table, j):
 # Eventual division
 
 
-def _coeff_in_p(c):
-    """True iff the coefficient lies in p * (ring of integers)."""
-    return is_integral(c / c.tower.p)
-
-
 def in_ideal_In(f, n):
     """True iff every term of f lies in (p, v_1, ..., v_{n-1}) * V, i.e.
-    its monomial is divisible by some v_i with i < n or its coefficient is
-    divisible by p."""
-    for m, c in f.terms.items():
-        if divisible_below(m, n):
-            continue
-        if not _coeff_in_p(c):
-            return False
-    return True
+    its monomial is divisible by some v_i with i < n or its coefficient has
+    valuation at least e = valuation(p)."""
+    return all(divisible_below(m, n) or valuation(c) >= c.tower.e for m, c in f.terms.items())
 
 
 def poly_divide(f, d):
@@ -254,10 +246,6 @@ def poly_divide(f, d):
     divisible by lm(d)."""
     (quot,), rem = divide(f, [d])
     return quot, rem
-
-
-def _powers_of_p_up_to(p, m_max):
-    return [p ** k for k in range(m_max.bit_length()) if p ** k <= m_max]
 
 
 def _power_divisions(g, d):
@@ -274,17 +262,31 @@ def _power_divisions(g, d):
         quot, rem = quot * g, rem * g
 
 
+def _no_integral_quotient(d, g, m_max):
+    """Rule 2 of _division_scan: True when it shows that no quotient of
+    g^m by d with 1 <= m <= m_max is integral."""
+    if len(d.terms) != 1 or not g:
+        return False
+    (mu, c), = d.terms.items()
+    for t in (min(g.terms, key=monomial_key), leading_monomial(g)):
+        vt = valuation(g.terms[t])
+        if (len(mu) <= len(t) and all(map(le, widen(mu, len(t)), t))
+                and max(vt, m_max * vt) < valuation(c)):
+            return True
+    return False
+
+
 def eventual_division_witness(table, n, m_max):
     """Search for the smallest m <= m_max with gamma(v_n) * y congruent to
-    gamma(v_{n+1})^m modulo (p, v_1, ..., v_{n-1}) * V^B.
+    gamma(v_{n+1})^m modulo I_n = (p, v_1, ..., v_{n-1}) * V^B.
 
     The zero case (y = 0) is scanned over powers of p first — mirroring the
     vanishing bound "smallest power of p exceeding e" — then the division
-    case over all m, each remainder and quotient carried on from the one
-    before (see _power_divisions).  For n = 1 the raw zero-case outcome
-    modulo the uniformizer is reported alongside the modulo-p convention.
-    The scan runs once per process for each pair of images (see
-    _division_scan); y is serialized with this table's N.
+    case over all m.  The zero case is read from coefficient valuations,
+    and the least or leading term may refute the division case; only a
+    scan neither settles builds powers (see _division_scan).  For n = 1
+    the raw zero-case outcome modulo the uniformizer is reported alongside
+    the modulo-p convention.  y is serialized with this table's N.
     """
     if n + 1 > table.N:
         raise ValueError("need gamma(v_%d): exceeds table truncation" % (n + 1))
@@ -307,36 +309,49 @@ def _division_scan(g_n, g_next, p, n, m_max):
     g_n = gamma(v_n) and g_next = gamma(v_{n+1}): the report fields it
     finds, and the quotient y of a division-case witness, else None.  It
     reads nothing else, so tables of any N, and any tables with these
-    images, share one scan."""
-    powers = {1: g_next}  # powers[m] = g_next^m, built on demand
+    images, share one scan.  Two rules settle most scans without a power:
 
-    def power(m):
-        if m not in powers:
-            powers[m] = power(m // p) ** p if m % p == 0 else power(m - 1) * g_next
-        return powers[m]
+    1. Zero case.  Let v be the least valuation of a coefficient of g_next
+       on a monomial that no v_i with i < n divides (infinite if none).
+       Then g_next^m lies in I_n exactly when m * v >= e = valuation(p),
+       and at n = 1 it vanishes modulo the uniformizer exactly when
+       m * v >= 1.  Proof: dropping the terms divisible by v_1..v_{n-1} is
+       a ring map whose kernel lies in I_n, and what it leaves is pi^v * h,
+       h with a unit coefficient, whose powers are nonzero modulo pi since
+       F_q[v_n, v_{n+1}, ...] is a domain.
+    2. Division case refuted.  If g_n = c * mu is one term, the quotient
+       q_m of g_next^m by it is its mu-divisible part over c * mu.  If mu
+       divides the least or the leading term c_t * t of g_next and
+       max(v(c_t), m_max * v(c_t)) < v(c), no q_m with m <= m_max is
+       integral.  Proof: a monomial order is multiplicative, so c_t^m * t^m
+       is a term of g_next^m, and it puts c_t^m / c, of valuation
+       m * v(c_t) - v(c) < 0, into q_m.
 
-    # At n = 1 the scan also looks for the first g_next^m zero modulo the
-    # uniformizer.  I_1 = (p) lies in (pi), so it finds one no later than
-    # the first g_next^m in I_1.
+    A scan that neither rule settles divides each power by g_n (see
+    _power_divisions)."""
+    e = g_next.ring.tower.e
+    v = min((valuation(c) for m, c in g_next.terms.items() if not divisible_below(m, n)),
+            default=INFINITY)
     outcome = {}
-    looking = n == 1
-    for m in _powers_of_p_up_to(p, m_max):
-        if looking and reduce_mod_ideal(power(m), n).is_zero():
-            outcome["zero_case_mod_uniformizer"] = m
-            looking = False
-        if in_ideal_In(power(m), n):
-            outcome.update({"found": True, "case": "zero", "m": m, "y": "0"})
-            return outcome, None
-    if looking:
-        outcome["zero_case_mod_uniformizer"] = None
+    if n == 1:
+        outcome["zero_case_mod_uniformizer"] = 1 if m_max and v >= 1 else None
+    m = 1  # the first power of p with g_next^m in I_n
+    while m <= m_max and m * v < e:
+        m *= p
+    if m <= m_max:
+        outcome.update({"found": True, "case": "zero", "m": m, "y": "0"})
+        return outcome, None
     # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
-    divisions = _power_divisions(g_next, g_n) if g_n else (
-        (g_n, power(m)) for m in range(1, m_max + 1)
-    )
-    for m, (quot, rem) in zip(range(1, m_max + 1), divisions):
-        if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
+    if not g_n:
+        m = next((m for m in range(1, m_max + 1) if m * v >= e), None)
+        if m is not None:
             outcome.update({"found": True, "case": "divide", "m": m})
-            return outcome, quot
+            return outcome, g_n
+    elif not _no_integral_quotient(g_n, g_next, m_max):
+        for m, (quot, rem) in zip(range(1, m_max + 1), _power_divisions(g_next, g_n)):
+            if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
+                outcome.update({"found": True, "case": "divide", "m": m})
+                return outcome, quot
     outcome.update({"found": False, "not_found_up_to": m_max})
     return outcome, None
 

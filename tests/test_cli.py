@@ -442,6 +442,15 @@ class TestCommands:
         first = rep["witnesses"][0]
         assert first["found"] and first["case"] == "zero" and first["m"] == 4
 
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_verify_eventual_division_refuses_N_below_2(self, capsys, N):
+        # The scan at n reads gamma(v_{n+1}), so below N = 2 it scans no n
+        # and would pass with no witnesses.
+        code, out, err = run(capsys, "verify", "eventual-division", "--p", "2",
+                             "--e", "2", "--N", str(N))
+        assert (code, out, err) == (
+            2, "", "fmcalc: error: verify eventual-division needs N >= 2\n")
+
     def test_verify_eventual_division_unramified(self, capsys):
         # gamma(v_1) = 0 on an unramified tower: the search must not divide
         # by it, and gamma(v_2)^m = v_1^m never lies in I_1 = (p).

@@ -203,6 +203,23 @@ class TestEventualDivision:
                 bound *= 2
             assert rep["m"] <= bound
 
+    def test_every_n_at_N5_without_powers(self, q3, q3_sqrt3):
+        # gamma(v_5) has 261 terms here; building and dividing its powers
+        # took 0.64 s for these four scans.  At n >= 2 only the term
+        # theta * v_{n+1} of gamma(v_{n+1}) survives v_1..v_{n-1} = 0, of
+        # valuation 1 < e = 2, so the zero case holds first at m = 3.  At
+        # n = 1, gamma(v_2) = theta * v_2 - 2 * v_1^4: no power lies in
+        # (theta), and the unit least term makes every quotient by
+        # gamma(v_1) = theta * v_1 non-integral.
+        table = gm.compute_gamma(q3, q3_sqrt3, 5)
+        reports = [gm.eventual_division_witness(table, n, 32) for n in range(1, 5)]
+        assert reports[0]["zero_case_mod_uniformizer"] is None
+        assert {k: reports[0][k] for k in ("found", "not_found_up_to")} == {
+            "found": False, "not_found_up_to": 32}
+        for rep in reports[1:]:
+            assert (rep["found"], rep["case"], rep["m"], rep["y"]) == (True, "zero", 3, "0")
+            assert "zero_case_mod_uniformizer" not in rep
+
     def test_e2_n1_reports_raw_outcome(self, q2, q2_sqrt2):
         # outside the theorem's hypotheses: report, don't assert
         table = gm.compute_gamma(q2, q2_sqrt2, 2)

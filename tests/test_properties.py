@@ -4,7 +4,8 @@ reference, inverses against Gauss-Jordan elimination over Q, the
 closed-form valuation, coordinate serialization, graded products, squares
 and single-monomial shifts, gamma
 as a ring map and its memoized monomial images, multivariate division,
-the remainders of successive powers and the monomial order, the monomials
+the remainders of successive powers, eventual-division scans against
+every power built and divided from scratch, the monomial order, the monomials
 of one weight, Groebner bases over F_p against the reference Buchberger
 loop, normal forms modulo them and the v_n-power scans read from them, module specs as obstruct reads and writes
 them, with their certificates' witnesses, Smith normal form, and logs and gamma
@@ -25,7 +26,9 @@ from fmcalc.gamma import (
     GammaTable,
     _power_divisions,
     compute_gamma,
+    eventual_division_witness,
     gamma_images,
+    in_ideal_In,
     match_log,
     poly_divide,
 )
@@ -33,6 +36,7 @@ from fmcalc.gradedpoly import (
     GradedPoly,
     PolyRing,
     divide,
+    divisible_below,
     graded_basis,
     leading_monomial,
     leading_term,
@@ -536,6 +540,136 @@ def test_power_divisions_match_division_from_scratch(data):
     assume(d)
     for m, (quot, rem) in zip(range(1, 9), _power_divisions(g, d)):
         assert (quot, rem) == poly_divide(g ** m, d), m
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_in_ideal_In_reads_p_divisibility_from_valuations(data):
+    # A coefficient lies in p * O exactly when its quotient by p is
+    # integral; a non-integral one never does.
+    tower = data.draw(st.sampled_from(TOWERS))
+    f = data.draw(polys(PolyRing(tower), elements(tower), 4))
+    n = data.draw(st.integers(1, 3))
+    assert in_ideal_In(f, n) == all(divisible_below(m, n) or is_integral(c / tower.p)
+                                    for m, c in f.terms.items())
+
+
+def _eventual_division_reference(table, n, m_max):
+    """eventual_division_witness's report from its definition: each power
+    of gamma(v_{n+1}) by repeated multiplication, the zero case at the
+    powers of p tested with in_ideal_In and, at n = 1, modulo the
+    uniformizer with reduce_mod_ideal, then the division case over every
+    m <= m_max by divide."""
+    d, g = table.image(n), table.image(n + 1)
+    powers = [None, g]
+
+    def power(m):
+        while len(powers) <= m:
+            powers.append(powers[-1] * g)
+        return powers[m]
+
+    p_powers = list(itertools.takewhile(lambda m: m <= m_max,
+                                        (table.target.p ** k for k in itertools.count())))
+    report = {"n": n, "m_max": m_max,
+              "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1)}
+    if n == 1:
+        report["zero_case_mod_uniformizer"] = next(
+            (m for m in p_powers if reduce_mod_ideal(power(m), 1).is_zero()), None)
+    for m in p_powers:
+        if in_ideal_In(power(m), n):
+            report.update(found=True, case="zero", m=m, y="0")
+            return report
+    for m in range(1, m_max + 1):
+        (quot,), rem = divide(power(m), [d]) if d else ([d], power(m))
+        if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
+            report.update(found=True, case="divide", m=m, y=quot.to_json(table.N))
+            return report
+    report.update(found=False, not_found_up_to=m_max)
+    return report
+
+
+SCAN_BOUNDS = [0, 1, 2, 8, 32]
+
+
+@pytest.mark.parametrize("source, target", [
+    ("q2", "q2_sqrt2"), ("q2", "q2_cbrt2"), ("q3", "q3_sqrt3"), ("q3", "q3_cbrt3"),
+    ("q2", "unram2_f2"), ("q3", "unram3_f2"), ("q2", "unram2_f3"),
+])
+def test_eventual_division_matches_the_reference_on_gamma_tables(request, source, target):
+    # Every tower fixture, every n < N <= 4 and every bound.
+    source, target = request.getfixturevalue(source), request.getfixturevalue(target)
+    for N in (2, 3, 4):
+        table = compute_gamma(source, target, N)
+        for n, m_max in itertools.product(range(1, N), SCAN_BOUNDS):
+            assert eventual_division_witness(table, n, m_max) == _eventual_division_reference(
+                table, n, m_max), (N, n, m_max)
+
+
+# e = 2, 3, 2 and 1.
+SCAN_TOWERS = [TOWERS[0], TOWERS[1], TOWERS[5], trivial_tower(3)]
+
+
+def valued_elements(tower, k):
+    """Elements of valuation exactly k: pi^k times a unit a + pi * x."""
+    pi = tower.uniformizer()
+    return st.builds(lambda a, x: pi ** k * (tower.from_rational(a) + pi * x),
+                     st.integers(1, tower.p - 1), integral_elements(tower))
+
+
+def _scan_table(tower, n, d, g):
+    """A synthetic table at N = n + 1 with gamma(v_n) = d and
+    gamma(v_{n+1}) = g (and gamma(v_1) = v_1 below them)."""
+    ring = PolyRing(tower)
+    images = (None, d, g) if n == 1 else (None, ring.gen(1), d, g)
+    return GammaTable(trivial_tower(tower.p), tower, n + 1, images, {})
+
+
+@st.composite
+def synthetic_scans(draw):
+    """(table, n, m_max) with gamma(v_n) = c * mu, v(c) in {0, 1, 2}, and
+    gamma(v_{n+1}) of up to three terms, mu dividing its least term, its
+    leading term or drawn alone; or gamma(v_n) or gamma(v_{n+1}) zero."""
+    tower = draw(st.sampled_from(SCAN_TOWERS))
+    ring = PolyRing(tower)
+    ms = draw(st.lists(monomials, min_size=1, max_size=3, unique=True))
+    g = GradedPoly(ring, {m: draw(st.integers(0, 3).flatmap(
+        lambda k: valued_elements(tower, k))) for m in ms})
+    shape = draw(st.sampled_from(["least", "leading", "neither", "d zero", "g zero"]))
+    if shape in ("least", "leading"):
+        t = (min if shape == "least" else max)(ms, key=monomial_key)
+        mu = monomial({i: draw(st.integers(0, a)) for i, a in _exponents(t).items()})
+    else:
+        mu = draw(monomials)
+    d = GradedPoly(ring, {mu: draw(valued_elements(tower, draw(st.integers(0, 2))))})
+    if shape == "d zero":
+        d = ring.zero()
+    elif shape == "g zero":
+        g = ring.zero()
+    n = draw(st.sampled_from([1, 2]))
+    return _scan_table(tower, n, d, g), n, draw(st.sampled_from(SCAN_BOUNDS))
+
+
+def _divide_case_images(n):
+    """At n = 1, test_divide_case's images: gamma(v_1) = v_1 and
+    gamma(v_2) = v_1 + theta * v_2, found at m = 2.  At n = 2,
+    gamma(v_2) = theta * v_2 and gamma(v_3) = v_1 + theta * v_2: v_1 lies
+    in I_2 and the quotient 1 is integral at m = 1, although the least term
+    v_1 of gamma(v_3) has valuation 0 < v(theta)."""
+    tower = TOWERS[0]
+    ring = PolyRing(tower)
+    v1, v2, theta = ring.gen(1), ring.gen(2), tower.theta()
+    d = v1 if n == 1 else v2.scale(theta)
+    return _scan_table(tower, n, d, v1 + v2.scale(theta))
+
+
+@PROPERTY_SETTINGS
+@given(synthetic_scans())
+@example((_divide_case_images(1), 1, 8))
+@example((_divide_case_images(2), 2, 1))
+def test_eventual_division_matches_the_reference_on_synthetic_images(scan):
+    table, n, m_max = scan
+    assert eventual_division_witness(table, n, m_max) == _eventual_division_reference(
+        table, n, m_max)
 
 
 def _reference_compare(x, y):

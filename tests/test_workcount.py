@@ -98,3 +98,20 @@ def test_workcount_obstruct_jobs_build_no_polynomial_objects(tmp_path):
         calls[name] = calls.get(name, 0) + n
     assert calls == {"gradedpoly.__init__": 0, "modp.fq_reduce": 0,
                      "torsion.groebner_basis": len(jobs)}
+
+
+def test_workcount_session_scans_divide_no_power(tmp_path):
+    # Every eventual-division scan of the seed-1 verify-session job list is
+    # settled by coefficient valuations: the zero case, except at n = 1 on
+    # Q2(x^2-2), Q3(x^2-3) and Q5(x^2-5), where the least term of
+    # gamma(v_2) makes every quotient non-integral.  No scan divides a
+    # power of gamma(v_{n+1}); dividing each power took 99 steps.
+    wc = load_workcount()
+    jobs = wc.workloads.GENERATORS["verify-session"](1)
+    assert any("eventual-division" in job["argv"] for job in jobs)
+    for cache in wc.cli.PROCESS_CACHES:
+        cache.cache_clear()
+    stats, nonzero, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
+    assert (nonzero, raised) == (0, 0)
+    rows = wc.named_counts(stats, wc.DEFAULT_NAMES)
+    assert [calls for name, _, calls in rows if name == "gamma._power_divisions"] == [0]
