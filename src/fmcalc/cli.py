@@ -219,10 +219,7 @@ def suite_low_degree(tower, N, settings):
 def suite_rational_iso(tower, N, settings):
     wb = settings["weight_bound"]
     weight_bound = tower.q ** 3 - 1 if wb is None else wb
-    n_b = _generators_within(tower.q, N, weight_bound)
-    # the check reads the towers alone, so the table the report uses serves
-    _gamma_table(tower, n_b).totally_ramified("rational isomorphism check")
-    return _rational_iso_report(tower, n_b, weight_bound)
+    return _rational_iso_report(tower, _generators_within(tower.q, N, weight_bound), weight_bound)
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,7 +227,7 @@ def _rational_iso_report(tower, N, weight_bound):
     """The rational-iso report, once per process for each equal tower, N
     (see _generators_within) and bound; it names no tower, and callers must
     not change it."""
-    table = _gamma_table(tower, N)
+    table = _gamma_table(tower, N).totally_ramified("rational isomorphism check")
     weights = {}
     passed = True
     for w in range(weight_bound + 1):
@@ -265,11 +262,13 @@ def suite_kappa(tower, N, settings):
 
 
 def suite_eventual_division(tower, N, settings):
-    # Each scan at n reads gamma(v_{n+1}); below N = 2 none runs, and a pass
-    # would check nothing.
+    # Each scan at n reads gamma(v_{n+1}) and tries m = 1..mmax; below N = 2
+    # or at mmax = 0 it scans nothing, and a pass would check nothing.
     if N < 2:
         raise UsageError("verify eventual-division needs N >= 2")
     m_max = settings["mmax"]
+    if m_max < 1:
+        raise UsageError("verify eventual-division needs mmax >= 1")
     table = _gamma_table(tower, N)
     results = [gammamod.eventual_division_witness(table, n, m_max) for n in range(1, min(N, 3))]
     return {
@@ -287,9 +286,8 @@ def suite_ordering(tower, N, settings):
     if N == 0 or weight_bound < tower.q - 1:
         raise UsageError("verify ordering needs N >= 1 and a weight bound >= q - 1 = %d"
                          % (tower.q - 1))
-    n_b = _generators_within(tower.q, N, weight_bound)
-    _gamma_table(tower, n_b).totally_ramified("order preservation check")
-    return _ordering_report(tower, n_b, weight_bound, settings["seed"])
+    return _ordering_report(tower, _generators_within(tower.q, N, weight_bound), weight_bound,
+                            settings["seed"])
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
 """Polynomial arithmetic over prime fields F_p.
 
 Polynomials are tuples of ints in [0, p), constant coefficient first,
-with no trailing zeros; the zero polynomial is the empty tuple.
+with no trailing zeros; the zero polynomial is the empty tuple.  One
+distinct-degree loop, `distinct_degree_degrees`, answers irreducibility.
 """
 
 from __future__ import annotations
@@ -92,36 +93,9 @@ def derivative(f, p):
 
 
 def is_irreducible(f, p):
-    """Rabin test via distinct-degree steps: x^{p^n} = x mod f and
-    gcd(x^{p^{n/r}} - x, f) = 1 for every prime divisor r of n."""
-    n = deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    h = pow_mod(x, p ** n, f, p)
-    if sub(h, x, p):
-        return False
-    for r in _prime_divisors(n):
-        h = pow_mod(x, p ** (n // r), f, p)
-        if deg(gcd(sub(h, x, p), f, p)) > 0:
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """True when the distinct-degree loop finds one factor, of degree
+    deg(f) >= 1 (see distinct_degree_degrees on f not squarefree)."""
+    return deg(f) >= 1 and distinct_degree_degrees(monic(f, p), p) == [deg(f)]
 
 
 def squarefree_decomposition(f, p):
@@ -161,7 +135,10 @@ def squarefree_decomposition(f, p):
 def distinct_degree_degrees(f, p):
     """Factor degrees (with count) of a squarefree monic f over F_p.
 
-    Returns a sorted list of degrees, one entry per irreducible factor.
+    Returns a sorted list of degrees, one entry per irreducible factor.  On
+    a monic f that is not squarefree the list is wrong but holds some
+    d < deg(f): a factor of degree d held twice keeps what remains of degree
+    >= 2d until step d, whose gcd finds it.
     """
     degrees = []
     x = (0, 1)
@@ -192,8 +169,6 @@ def factor_degrees(f, p):
 
 def smallest_irreducible(p, n):
     """Lexicographically smallest monic irreducible of degree n over F_p."""
-    if n == 1:
-        return (0, 1)
     for tail in itertools.product(range(p), repeat=n):
         f = trim(tuple(tail) + (1,))
         if is_irreducible(f, p):

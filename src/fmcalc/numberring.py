@@ -158,12 +158,6 @@ def format_rational(r):
     return "%d/%d" % (r.numerator, r.denominator)
 
 
-def _fraction_mod_p(r, p):
-    if r.denominator % p == 0:
-        raise NotIntegral("denominator divisible by %d" % p)
-    return (r.numerator * pow(r.denominator, p - 2, p)) % p
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over Q and over the unramified subring Q[omega]/(g)
 
@@ -199,7 +193,9 @@ class TowerDescriptor:
     `unram_poly` lists the integer coefficients of g, constant first.  Each
     coefficient of `eis_poly`, constant first, is either a row of rationals
     in powers of omega (constant first) or a plain number, which stands for
-    the row holding just that number."""
+    the row holding just that number.  g must be irreducible mod p.  Every
+    entry of h's rows below theta^e has valuation >= 1, and some entry of
+    its constant row valuation 1: the constant term is p times a unit."""
 
     def __init__(self, p, unram_poly, eis_poly, label=""):
         if not is_prime(p):
@@ -233,17 +229,12 @@ class TowerDescriptor:
         self._struct = None  # lazily built multiplication table
 
     def _check_eisenstein(self):
-        p, f, e = self.p, self.f, self.e
-        for j in range(e):
-            coeff = self.eis_poly[j]
-            for c in coeff:
-                if padic_valuation_rational(c, p) < 1:
-                    raise NotEisenstein(
-                        "non-leading coefficient of theta^%d not divisible by %d" % (j, p)
-                    )
-        unit = tuple(c / p for c in self.eis_poly[0])
-        residue = modp.trim(_fraction_mod_p(c, p) for c in unit)
-        if not residue:
+        p = self.p
+        for j in range(self.e):
+            if any(padic_valuation_rational(c, p) < 1 for c in self.eis_poly[j]):
+                raise NotEisenstein(
+                    "non-leading coefficient of theta^%d not divisible by %d" % (j, p))
+        if all(padic_valuation_rational(c, p) >= 2 for c in self.eis_poly[0]):
             raise NotEisenstein("constant term divisible by p^2: not a uniformizer")
 
     # -- element constructors ------------------------------------------------

@@ -306,16 +306,14 @@ def groebner_basis(gens, p, degree_bound):
 
 def module_groebner(module, degree_bound=None):
     """Groebner basis of the reduction mod p of the module's ideal, on
-    exponent tuples of width N."""
+    exponent tuples of width N; OutsideScope, with the certificate's
+    reason, unless the ideal holds p and no unit."""
     if module.contains_p is None:
-        raise OutsideScope("torsion decisions require p in the ideal")
+        raise OutsideScope("ideal does not contain a power of p")
     if module.contains_p == 0:
         raise OutsideScope("the ideal contains a unit; the module is zero")
     if module.contains_p > 1:
-        raise OutsideScope(
-            "ideal contains p^%d but not p; outside the cyclic-over-F_p scope"
-            % module.contains_p
-        )
+        raise OutsideScope("ideal contains p^%d but not p" % module.contains_p)
     p, N = module.p, module.N
     if degree_bound is None:
         degree_bound = 2 * (p ** N - 1)
@@ -544,15 +542,8 @@ def local_cohomology_degreewise(presentations, p):
 # Verdict assembly
 
 
-class ObstructionCertificate:
+class ObstructionCertificate(ReadOnly):
     __slots__ = ("verdict", "rules_fired", "witnesses", "scan_log", "bounds")
-
-    def __init__(self, verdict, rules_fired, witnesses, scan_log, bounds):
-        self.verdict = verdict
-        self.rules_fired = rules_fired
-        self.witnesses = witnesses
-        self.scan_log = scan_log
-        self.bounds = bounds
 
     def to_json(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -599,15 +590,10 @@ def realizability_obstruction(module, k_max=20, m_max=32):
             reason="context tower is not totally ramified and "
             "the module is not p-power-torsion",
         )
-    if module.contains_p == 0:
-        return certificate("OutsideScope", reason="the ideal contains a unit; the module is zero")
-    if module.contains_p is None:
-        return certificate("OutsideScope", reason="ideal does not contain a power of p")
-    if module.contains_p > 1:
-        return certificate("OutsideScope",
-                           reason="ideal contains p^%d but not p" % module.contains_p)
-
-    gb = module_groebner(module)
+    try:
+        gb = module_groebner(module)
+    except OutsideScope as ex:
+        return certificate("OutsideScope", reason=str(ex))
     torsion = {}
     for n in range(1, module.N + 1):
         torsion[n] = is_vn_power_torsion(module, n, k_max, gb=gb)

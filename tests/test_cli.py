@@ -451,6 +451,16 @@ class TestCommands:
         assert (code, out, err) == (
             2, "", "fmcalc: error: verify eventual-division needs N >= 2\n")
 
+    def test_verify_eventual_division_refuses_mmax_0(self, capsys):
+        # A scan up to m_max = 0 tries no m, so a pass would check nothing.
+        code, out, err = run(capsys, "verify", "eventual-division", "--p", "2",
+                             "--e", "2", "--N", "3", "--mmax", "0")
+        assert (code, out, err) == (
+            2, "", "fmcalc: error: verify eventual-division needs mmax >= 1\n")
+        code, out, _ = run(capsys, "verify", "eventual-division", "--p", "2",
+                           "--e", "2", "--N", "3", "--mmax", "1")
+        assert code == 0 and json.loads(out)["m_max"] == 1
+
     def test_verify_eventual_division_unramified(self, capsys):
         # gamma(v_1) = 0 on an unramified tower: the search must not divide
         # by it, and gamma(v_2)^m = v_1^m never lies in I_1 = (p).

@@ -58,6 +58,27 @@ class TestMakeTower:
         with pytest.raises(NotEisenstein):
             nr.TowerDescriptor(2, [0, 1], [-2, 1, 1])  # middle coefficient a unit
 
+    @pytest.mark.parametrize("unram, constant, accepted", [
+        ([0, 1], Fraction(-2, 3), True),
+        ([0, 1], Fraction(-4, 3), False),
+        ([0, 1], Fraction(6, 5), True),
+        ([0, 1], Fraction(8, 7), False),
+        ([1, 1, 1], [4, 2], True),
+        ([1, 1, 1], [2, 4], True),
+        ([1, 1, 1], [Fraction(2, 3), 0], True),
+        ([1, 1, 1], [4, Fraction(-8, 3)], False),
+        ([1, 1, 1], [0, 0], False),
+    ], ids=["-2/3", "-4/3", "6/5", "8/7", "4+2w", "2+4w", "2/3", "4-8w/3", "zero"])
+    def test_constant_term_must_have_valuation_one(self, unram, constant, accepted):
+        # x^2 + c at p = 2: the constant term must be p times a unit of the
+        # unramified ring, some entry of its row of valuation exactly 1.
+        eis = [constant, 0, 1]
+        if accepted:
+            assert nr.TowerDescriptor(2, unram, eis).e == 2
+        else:
+            with pytest.raises(NotEisenstein, match="constant term divisible by p\\^2"):
+                nr.TowerDescriptor(2, unram, eis)
+
     def test_not_prime_rejected(self):
         with pytest.raises(NotPrime):
             nr.TowerDescriptor(6, [0, 1], [0, 1])

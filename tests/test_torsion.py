@@ -634,6 +634,30 @@ class TestObstruction:
         cert = ts.realizability_obstruction(m)
         assert cert.verdict == "OutsideScope"
 
+    @pytest.mark.parametrize("module, reason", [
+        (lambda: make_module(2, 2, [v_power(None, 1, 1)], include_p=False),
+         "ideal does not contain a power of p"),
+        (lambda: make_module(2, 2, [{"terms": [{"exps": {}, "coeff": "3"}]}]),
+         "the ideal contains a unit; the module is zero"),
+        (lambda: make_module(2, 2, [{"terms": [{"exps": {}, "coeff": "4"}]}], include_p=False),
+         "ideal contains p^2 but not p"),
+    ], ids=["no-p", "unit", "p^2"])
+    def test_scope_reason_is_module_groebners(self, module, reason):
+        # One scope rule: the certificate reports module_groebner's message.
+        m = module()
+        with pytest.raises(OutsideScope) as raised:
+            ts.module_groebner(m)
+        cert = ts.realizability_obstruction(m)
+        assert str(raised.value) == cert.witnesses["reason"] == reason
+        assert cert.verdict == "OutsideScope"
+
+    def test_certificate_is_read_only(self):
+        cert = ts.realizability_obstruction(make_module(2, 2, [v_power(None, 1, 1)]))
+        with pytest.raises(AttributeError):
+            cert.verdict = "NotRealizable"
+        with pytest.raises(AttributeError):
+            del cert.witnesses
+
     def test_certificate_replayable(self):
         m = make_module(
             2,

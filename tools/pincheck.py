@@ -9,7 +9,8 @@ workload in one interpreter (perfbench/worker.py's session).  Each
 job's exit code and stdout digest, or for a job pinned as failing its exit
 code and error type, is checked against perfbench/pins.json with
 perfbench/run.py's `check`.  It prints one line per workload and one per
-mismatch, and exits 1 if there is any mismatch.
+mismatch, with the job's key, label and argv, and exits 1 if there is any
+mismatch.
 
 The benchmark runs every gamma-cold job in a fresh interpreter, but here
 gamma jobs run warm, after whatever the jobs before them left in the caches
@@ -19,6 +20,7 @@ the benchmark, is therefore a cache leak between calls.
 
 import json
 import os
+import shlex
 import sys
 import tempfile
 
@@ -57,8 +59,9 @@ def main():
             jobs = universe(name)
             bad = mismatches(jobs, pins, workdir)
             print("%-15s %4d jobs, %d mismatches" % (name, len(jobs), len(bad)))
+            argv = {job["key"]: job["argv"] for job in jobs}
             for key, label in bad:
-                print("  %s %s" % (key, label))
+                print("  %s %s %s" % (key, label, shlex.join(argv[key])))
             total += len(bad)
     return 1 if total else 0
 
