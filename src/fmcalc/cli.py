@@ -151,8 +151,33 @@ def _with_common(report, settings, tower=None):
     return report
 
 
+# The most monomials the piece of weight p^N - 1 that gamma(v_N) lives in
+# may have: Q2(x^2-2) at N = 8 has 42,987 and took 20 s; Q3(x^3-3) at N = 7
+# has 401,983 and ran for more than 15 minutes.
+GAMMA_MONOMIAL_LIMIT = 50_000
+
+
+def _monomial_count(q, n, w, limit):
+    """The number of monomials of weight w in v_1..v_n, where v_i has weight
+    q^i - 1, or a number above limit once the count passes it."""
+    if w % (q - 1):
+        return 0
+    if n <= 2:  # v_1^a * v_2^b with b = 0..w // (q^2 - 1)
+        return w // (q * q - 1) + 1 if n == 2 else int(n == 1 or w == 0)
+    count, wn = 0, q ** n - 1
+    for a in range(w // wn + 1):
+        count += _monomial_count(q, n - 1, w - a * wn, limit - count)
+        if count > limit:
+            break
+    return count
+
+
 def _gamma_table(tower, N):
     """The gamma table the CLI reports: from Q_p, the base of the tower."""
+    count = _monomial_count(tower.q, N, tower.p ** N - 1, GAMMA_MONOMIAL_LIMIT)
+    if count > GAMMA_MONOMIAL_LIMIT:
+        raise UsageError("gamma(v_%d) lives in a weight piece of at least %d monomials, "
+                         "above the limit of %d" % (N, count, GAMMA_MONOMIAL_LIMIT))
     return gammamod.compute_gamma(trivial_tower(tower.p), tower, N)
 
 
@@ -489,7 +514,7 @@ def build_parser():
 # process.  A fresh interpreter starts with all of them empty, and
 # tools/workcount.py clears them between jobs to count as one does.
 PROCESS_CACHES = (log_entries, trivial_tower, gammamod.gamma_images,
-                  gammamod._division_scan, _monomials_of_weight, _tower,
+                  _monomials_of_weight, _tower,
                   _rational_iso_report, _ordering_report, build_parser)
 
 

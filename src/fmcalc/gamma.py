@@ -248,23 +248,9 @@ def poly_divide(f, d):
     return quot, rem
 
 
-def _power_divisions(g, d):
-    """(q_m, r_m) with g^m = q_m * d + r_m, r_m the remainder of g^m by d,
-    for m = 1, 2, ...  A single divisor is a Groebner basis of (d), so the
-    remainder is unique, and so is q_m in a domain.  Since
-    g^m - g * r_{m-1} = g * q_{m-1} * d, each step divides only
-    g * r_{m-1}: r_m is its remainder and q_m = g * q_{m-1} + its quotient."""
-    quot, rem = d.ring.zero(), g
-    while True:
-        step, rem = poly_divide(rem, d)
-        quot = quot + step
-        yield quot, rem
-        quot, rem = quot * g, rem * g
-
-
 def _no_integral_quotient(d, g, m_max):
-    """Rule 2 of _division_scan: True when it shows that no quotient of
-    g^m by d with 1 <= m <= m_max is integral."""
+    """Rule 2 of eventual_division_witness: True when it shows that no
+    quotient of g^m by d with 1 <= m <= m_max is integral."""
     if len(d.terms) != 1 or not g:
         return False
     (mu, c), = d.terms.items()
@@ -282,34 +268,10 @@ def eventual_division_witness(table, n, m_max):
 
     The zero case (y = 0) is scanned over powers of p first — mirroring the
     vanishing bound "smallest power of p exceeding e" — then the division
-    case over all m.  The zero case is read from coefficient valuations,
-    and the least or leading term may refute the division case; only a
-    scan neither settles builds powers (see _division_scan).  For n = 1
-    the raw zero-case outcome modulo the uniformizer is reported alongside
-    the modulo-p convention.  y is serialized with this table's N.
-    """
-    if n + 1 > table.N:
-        raise ValueError("need gamma(v_%d): exceeds table truncation" % (n + 1))
-    outcome, quot = _division_scan(table.image(n), table.image(n + 1), table.target.p,
-                                   n, m_max)
-    report = {
-        "n": n,
-        "m_max": m_max,
-        "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1),
-    }
-    report.update(outcome)
-    if quot is not None:
-        report["y"] = quot.to_json(table.N)
-    return report
-
-
-@functools.lru_cache(maxsize=None)
-def _division_scan(g_n, g_next, p, n, m_max):
-    """(outcome, quotient) of eventual_division_witness's scan with
-    g_n = gamma(v_n) and g_next = gamma(v_{n+1}): the report fields it
-    finds, and the quotient y of a division-case witness, else None.  It
-    reads nothing else, so tables of any N, and any tables with these
-    images, share one scan.  Two rules settle most scans without a power:
+    case over all m.  For n = 1 the raw zero-case outcome modulo the
+    uniformizer is reported alongside the modulo-p convention.  y is
+    serialized with this table's N.  With g_n = gamma(v_n) and
+    g_next = gamma(v_{n+1}), two rules settle most scans without a power:
 
     1. Zero case.  Let v be the least valuation of a coefficient of g_next
        on a monomial that no v_i with i < n divides (infinite if none).
@@ -327,33 +289,37 @@ def _division_scan(g_n, g_next, p, n, m_max):
        is a term of g_next^m, and it puts c_t^m / c, of valuation
        m * v(c_t) - v(c) < 0, into q_m.
 
-    A scan that neither rule settles divides each power by g_n (see
-    _power_divisions)."""
-    e = g_next.ring.tower.e
+    A scan that neither rule settles divides each power g_next^m by g_n."""
+    if n + 1 > table.N:
+        raise ValueError("need gamma(v_%d): exceeds table truncation" % (n + 1))
+    g_n, g_next, e = table.image(n), table.image(n + 1), table.target.e
     v = min((valuation(c) for m, c in g_next.terms.items() if not divisible_below(m, n)),
             default=INFINITY)
-    outcome = {}
+    report = {"n": n, "m_max": m_max,
+              "ideal_convention": "coefficients mod p, generators v_1..v_%d dropped" % (n - 1)}
     if n == 1:
-        outcome["zero_case_mod_uniformizer"] = 1 if m_max and v >= 1 else None
+        report["zero_case_mod_uniformizer"] = 1 if m_max and v >= 1 else None
     m = 1  # the first power of p with g_next^m in I_n
     while m <= m_max and m * v < e:
-        m *= p
+        m *= table.target.p
     if m <= m_max:
-        outcome.update({"found": True, "case": "zero", "m": m, "y": "0"})
-        return outcome, None
+        report.update({"found": True, "case": "zero", "m": m, "y": "0"})
+        return report
     # With gamma(v_n) = 0 (unramified towers) only y = 0 is possible.
     if not g_n:
         m = next((m for m in range(1, m_max + 1) if m * v >= e), None)
         if m is not None:
-            outcome.update({"found": True, "case": "divide", "m": m})
-            return outcome, g_n
+            report.update({"found": True, "case": "divide", "m": m, "y": g_n.to_json(table.N)})
+            return report
     elif not _no_integral_quotient(g_n, g_next, m_max):
-        for m, (quot, rem) in zip(range(1, m_max + 1), _power_divisions(g_next, g_n)):
+        for m in range(1, m_max + 1):
+            quot, rem = poly_divide(g_next ** m, g_n)
             if in_ideal_In(rem, n) and all(is_integral(c) for c in quot.terms.values()):
-                outcome.update({"found": True, "case": "divide", "m": m})
-                return outcome, quot
-    outcome.update({"found": False, "not_found_up_to": m_max})
-    return outcome, None
+                report.update({"found": True, "case": "divide", "m": m,
+                               "y": quot.to_json(table.N)})
+                return report
+    report.update({"found": False, "not_found_up_to": m_max})
+    return report
 
 
 def order_preservation_check(table, sample_size, weight_bound, seed=0):

@@ -20,16 +20,14 @@ import functools
 import heapq
 import itertools
 import math
-from fractions import Fraction
 from operator import add, ge, neg, sub
 
-from .errors import MissingImage, NotIntegral, RingMismatch, TowerMismatch, ZeroPolynomial
+from .errors import MissingImage, RingMismatch, TowerMismatch, ZeroPolynomial
 from .numberring import (
     FieldElement,
     ResidueElement,
     binary_power,
     embed,
-    is_integral,
     mul_accumulate,
     mul_rows,
     parse_integer,
@@ -140,16 +138,15 @@ class PolyRing:
 
 class GradedPoly:
     """Sparse polynomial: map from monomial to nonzero coefficient.  A
-    polynomial is not changed after it is built, so its leading term is
-    taken once (see leading_term) and its terms are serialized once (see
-    to_json)."""
+    polynomial is not changed after it is built, so its terms are
+    serialized once (see to_json).  Arithmetic takes operands of one kind:
+    a product is of two polynomials, and a scalar enters through scale."""
 
-    __slots__ = ("ring", "terms", "_lead", "_json")
+    __slots__ = ("ring", "terms", "_json")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
-        self._lead = None
         self._json = None
 
     # -- structure ---------------------------------------------------------
@@ -173,10 +170,6 @@ class GradedPoly:
             raise RingMismatch("expected a polynomial")
         if not self.ring.same_ring(other.ring):
             raise RingMismatch("polynomials over different rings")
-
-    def sorted_terms(self):
-        """Terms in descending monomial order."""
-        return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     def weight(self):
         """Weight when homogeneous; None for 0; raises otherwise."""
@@ -226,8 +219,6 @@ class GradedPoly:
         leading zeros, in first-seen order.  A square takes each pair of
         terms i < j once, with term j doubled (Monagan & Pearce, CASC 2012);
         the key of (j, i) is first seen at (i, j), so the order holds."""
-        if isinstance(other, (int, Fraction, FieldElement, ResidueElement)):
-            return self.scale(other)
         self._check(other)
         T = self.ring.tower
         a_poly, b_poly = self, other
@@ -259,21 +250,15 @@ class GradedPoly:
             terms = {m: residue(c) for m, c in terms.items()}
         return GradedPoly(self.ring, terms)
 
-    __rmul__ = __mul__
-
     def shift(self, m):
         """m * self term by term: exponents add, coefficients stay."""
         return GradedPoly(self.ring, {monomial_mul(t, m): a for t, a in self.terms.items()})
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.ring.coeff_from_int(c)
-        elif isinstance(c, Fraction):
-            c = self.ring.tower.from_rational(c)
-        elif not self.ring.tower.same_tower(c.tower):
-            raise TowerMismatch(
-                "scalar from %s, ring over %s" % (c.tower.label, self.ring.tower.label)
-            )
+        """c * self for c of the ring's kind and tower, else TowerMismatch."""
+        kind = ResidueElement if self.ring.coefficients == "residue" else FieldElement
+        if not (isinstance(c, kind) and self.ring.tower.same_tower(c.tower)):
+            raise TowerMismatch("scalar %r, ring %r" % (c, self.ring))
         return self * GradedPoly(self.ring, {(): c})
 
     def __pow__(self, n):
@@ -291,34 +276,44 @@ class GradedPoly:
         module the polynomial belongs to.  The term dicts are built on the
         first call and shared by later ones, each in a new list."""
         if self._json is None:
-            self._json = [{"exps": monomial_to_json(m), "coeff": c.to_json()}
-                          for m, c in self.sorted_terms()]
+            self._json = terms_to_json(self.terms, lambda c: c.to_json())
         return {"terms": list(self._json), "q": self.ring.q, "N": N}
 
     @staticmethod
     def from_json(ring, obj):
-        terms = {}
-        for t in obj["terms"]:
-            exps = {int(n): parse_integer(a) for n, a in t["exps"].items()}
-            m = monomial(exps)
-            if len(exps) < len(t["exps"]) or m in terms:
-                raise ValueError("a generator or a monomial is listed twice")
-            if ring.coefficients == "residue":
-                c = ResidueElement(ring.tower, tuple(t["coeff"]))
-            else:
-                c = FieldElement.from_json(ring.tower, t["coeff"])
-            terms[m] = c
-        return GradedPoly(ring, terms)
+        if ring.coefficients == "residue":
+            return GradedPoly(ring, read_terms(obj, lambda c: ResidueElement(ring.tower, tuple(c))))
+        return GradedPoly(ring, read_terms(obj, lambda c: FieldElement.from_json(ring.tower, c)))
 
     def __repr__(self):
         if not self.terms:
             return "<poly 0>"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True):
             mono = "*".join(("v" + n) if a == 1 else ("v%s^%d" % (n, a))
                             for n, a in monomial_to_json(m).items())
             parts.append("(%r)%s" % (c, "*" + mono if mono else ""))
         return "<poly " + " + ".join(parts) + ">"
+
+
+def read_terms(obj, read_coeff):
+    """The dict from monomials to coefficients (each read by read_coeff) of
+    a polynomial's JSON form; ValueError for a generator or monomial twice."""
+    terms = {}
+    for t in obj["terms"]:
+        exps = {int(n): parse_integer(a) for n, a in t["exps"].items()}
+        m = monomial(exps)
+        if len(exps) < len(t["exps"]) or m in terms:
+            raise ValueError("a generator or a monomial is listed twice")
+        terms[m] = read_coeff(t["coeff"])
+    return terms
+
+
+def terms_to_json(terms, coeff_json):
+    """The JSON term list of the dict `terms` from monomials to coefficients,
+    in descending monomial order, each coefficient written by coeff_json."""
+    return [{"exps": monomial_to_json(m), "coeff": coeff_json(terms[m])}
+            for m in sorted(terms, key=monomial_key, reverse=True)]
 
 
 def _over_common_den(poly):
@@ -340,20 +335,13 @@ def leading_monomial(f):
     return max(f.terms, key=monomial_key)
 
 
-def leading_term(f):
-    """(lm, lc, 1/lc) of f, taken on the first call and kept on f."""
-    if f._lead is None:
-        m = leading_monomial(f)
-        f._lead = (m, f.terms[m], f.terms[m].inverse())
-    return f._lead
-
-
 def _reduce(f, divisors, quots):
     """The remainder of f on division by the divisors, as a dict of terms;
     each quotient term is recorded in quots, one dict per divisor.  Each
     step reduces the leading term of what is left by the first divisor
     whose leading monomial divides it; coefficients divide exactly (field
-    or residue field).  A zero divisor raises ZeroPolynomial.
+    or residue field) by the inverse of the divisor's leading coefficient,
+    taken once per call.  A zero divisor raises ZeroPolynomial.
 
     What is left is one dict, changed in place, on the monomials widened to
     one width and negated, as in torsion._remainder: a min-heap of its keys
@@ -365,8 +353,8 @@ def _reduce(f, divisors, quots):
 
     leads = []
     for d in divisors:
-        lm, _, lc_inv = leading_term(d)
-        leads.append((negated(lm), lc_inv,
+        lm = leading_monomial(d)
+        leads.append((negated(lm), d.terms[lm].inverse(),
                       [(negated(u), a) for u, a in d.terms.items() if u != lm]))
     rem = {}
     work = {negated(m): c for m, c in f.terms.items()}
@@ -461,14 +449,12 @@ def apply_ring_map(f, ring, images, memo):
 def reduce_mod_ideal(f, n):
     """Reduce modulo (pi, v_1, ..., v_{n-1}): drop terms divisible by a
     generator of index < n, reduce surviving coefficients to the residue
-    field.  n = 1 reduces coefficients only."""
+    field (residue refuses a non-integral one).  n = 1 reduces only those."""
     out_ring = f.ring.residue_ring()
     terms = {}
     for m, c in f.terms.items():
         if divisible_below(m, n):
             continue
-        if not is_integral(c):
-            raise NotIntegral("surviving term has a non-integral coefficient")
         r = residue(c)
         if r:
             terms[m] = r

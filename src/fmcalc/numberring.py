@@ -500,8 +500,6 @@ class FieldElement:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.from_rational(other)
         self._check(other)
         da, db = self.den, other.den
         if da == db:
@@ -513,33 +511,19 @@ class FieldElement:
             da *= sa
         return FieldElement.from_numerators(self.tower, nums, da)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FieldElement.from_numerators(self.tower, [-n for n in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.from_rational(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return self.tower.from_rational(other) - self
-
     def __mul__(self, other):
-        T = self.tower
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return FieldElement.from_numerators(
-                T, [n * r.numerator for n in self.nums], self.den * r.denominator
-            )
         self._check(other)
+        T = self.tower
         acc = [0] * T.d
         mul_accumulate(acc, mul_rows(T, self.nums), other.nums)
         ds = T.structure_constants()[1]
         return FieldElement.from_numerators(T, acc, self.den * other.den * ds)
-
-    __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
@@ -572,16 +556,8 @@ class FieldElement:
         return FieldElement.from_numerators(T, [sign * row[d] for row in M], sign * prev)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if r == 0:
-                raise DivisionByZero("division by zero")
-            return self * (1 / r)
         self._check(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.tower.from_rational(other) / self
 
     def __pow__(self, n):
         if n < 0:

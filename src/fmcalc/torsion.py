@@ -13,7 +13,7 @@ with leading zeros to the one width W = N of the computation, to an int in
 componentwise <=, a product of monomials a componentwise sum and an inverse
 pow(c, p - 2, p) (dense exponent vectors in division as in Monagan &
 Pearce, CASC 2007).  The module and every witness are written from these
-dicts in GradedPoly.to_json's form, over Q_p and over F_p.  Local
+dicts by gradedpoly.terms_to_json, over Q_p and over F_p.  Local
 cohomology reads the p-parts of the elementary divisors, and the rank, from
 one fraction-free elimination over Z_(p); `smith_normal_form`, the exact
 oracle the tests check it against, runs a Smith elimination on the matrix
@@ -27,7 +27,7 @@ import itertools
 from operator import add, ge, mul, neg, sub
 
 from .errors import ConfigParseError, NonIntegerMatrix, OutsideScope, TruncationUnsound
-from .gradedpoly import monomial, monomial_key, monomial_to_json, monomial_weight, widen
+from .gradedpoly import monomial, monomial_weight, read_terms, terms_to_json, widen
 from .numberring import (
     INFINITY,
     ReadOnly,
@@ -118,33 +118,26 @@ class CyclicModulePresentation(ReadOnly):
 
 
 def _read_generator(obj):
-    """A generator's JSON terms, read as GradedPoly.from_json reads them
-    over Q_p, as a dict from monomials to the nonzero rationals.  A
-    coefficient is text, a JSON int, or its coordinate rows over Q_p: one
-    row of at most one entry."""
-    terms = {}
-    for t in obj["terms"]:
-        exps = {int(n): parse_integer(a) for n, a in t["exps"].items()}
-        m = monomial(exps)
-        if len(exps) < len(t["exps"]) or m in terms:
-            raise ValueError("a generator or a monomial is listed twice")
-        c = t["coeff"]
-        if not isinstance(c, (str, int)):
-            if len(c) != 1 or len(c[0]) > 1:
-                raise ValueError("a coefficient over Q_p is one row of at most one entry")
-            c = c[0][0] if c[0] else 0
-        terms[m] = parse_rational(c)
-    return {m: c for m, c in terms.items() if c}
+    """A generator's JSON terms (see gradedpoly.read_terms), as a dict from
+    monomials to the nonzero rationals.  A coefficient is text, a JSON int,
+    or its coordinate rows over Q_p: one row of at most one entry."""
+    return {m: c for m, c in read_terms(obj, _read_rational).items() if c}
+
+
+def _read_rational(c):
+    if not isinstance(c, (str, int)):
+        if len(c) != 1 or len(c[0]) > 1:
+            raise ValueError("a coefficient over Q_p is one row of at most one entry")
+        c = c[0][0] if c[0] else 0
+    return parse_rational(c)
 
 
 def _poly_json(terms, p, N, field=False):
     """The dict `terms` from monomials (of any widths) to coefficients as
     GradedPoly.to_json writes it: over Q_p (field) a rational c has the
     coordinate rows [[c]], over F_p an int c the vector [c]."""
-    return {"terms": [{"exps": monomial_to_json(m),
-                       "coeff": [[format_rational(terms[m])]] if field else [terms[m]]}
-                      for m in sorted(terms, key=monomial_key, reverse=True)],
-            "q": p, "N": N}
+    coeff_json = (lambda c: [[format_rational(c)]]) if field else (lambda c: [c])
+    return {"terms": terms_to_json(terms, coeff_json), "q": p, "N": N}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from fmcalc import cli, gamma, modp
 from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
+from fmcalc.gradedpoly import monomials_of_weight
 from fmcalc.numberring import TowerDescriptor
 
 
@@ -509,8 +511,8 @@ def test_session_reuses_parser_without_leaks(capsys, tmp_path, monkeypatch):
 
 
 def test_session_reuses_towers_images_and_scans_across_N(capsys, tmp_path, monkeypatch):
-    # One interpreter builds Q2(x^2-2), its gamma images and its
-    # eventual-division scans once and serves every N from them.  Each call
+    # One interpreter builds Q2(x^2-2) and its gamma images once and serves
+    # every N from them, eventual-division scans included.  Each call
     # still prints what it prints when run alone, and a config tower equal
     # to the flag tower prints its own label, not the flag tower's.
     monkeypatch.delenv("FMCALC_CONFIG", raising=False)
@@ -611,6 +613,45 @@ def test_weight_bounded_suites_build_no_image_above_n_b(capsys, monkeypatch, sui
         outs.append(run(capsys, "verify", suite, "--p", "2", "--e", "2", "--N", N))
     assert outs[0] == outs[1] and outs[0][0] == 0
     assert max(asked) == {"rational-iso": 3, "ordering": 2}[suite]
+
+
+def test_monomial_count_matches_the_weight_basis():
+    # Below the limit the count is exact; the pieces gamma(v_N) lives in at
+    # the sizes the limit was set from count as stated beside it.
+    for q, p, n_max in [(2, 2, 7), (3, 3, 5), (4, 2, 6), (9, 3, 3), (5, 5, 3)]:
+        for N in range(n_max + 1):
+            w = p ** N - 1
+            expected = len(monomials_of_weight(q, N, w)) if w % (q - 1) == 0 else 0
+            assert cli._monomial_count(q, N, w, 10 ** 9) == expected, (q, N)
+            assert expected == 0 or cli._monomial_count(q, N, w, expected - 1) >= expected
+    counts = [cli._monomial_count(q, N, q ** N - 1, 10 ** 9)
+              for q, N in [(2, 7), (2, 8), (3, 6), (3, 7), (2, 9)]]
+    assert counts == [2724, 42987, 6724, 401983, 1128093]
+    assert cli._monomial_count(4, 29, 2 ** 29 - 1, 10) == 0  # gamma(v_29) = 0 when f = 2
+
+
+@pytest.mark.parametrize("p, N", [(3, 8), (2, 30)])
+def test_gamma_refuses_a_piece_above_the_monomial_limit(p, N):
+    # gamma(v_8) over Q3(x^3-3) lives in a piece of 59,297,475 monomials and
+    # would take hours to build; the CLI refuses it, and v_30 over
+    # Q2(x^2-2) too, from a count that stops past the limit.  A fresh
+    # interpreter with a timeout, so that a build fails instead of hanging.
+    argv = ["gamma", "--p", str(p), "--e", str(p), "--N", str(N)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("FMCALC_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-m", "fmcalc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    match = re.fullmatch(r"fmcalc: error: gamma\(v_%d\) lives in a weight piece of at least "
+                         r"(\d+) monomials, above the limit of 50000\n" % N, proc.stderr)
+    assert match and int(match[1]) > cli.GAMMA_MONOMIAL_LIMIT == 50000
+
+
+def test_gamma_below_the_monomial_limit_runs(capsys):
+    # Q2(x^2-2) at N = 7: 2,724 monomials, the largest piece a pinned job
+    # reaches.
+    code, out, _ = run(capsys, "gamma", "--p", "2", "--e", "2", "--N", "7")
+    assert code == 0 and len(json.loads(out)["table"]["images"]["7"]["terms"]) > 0
 
 
 def test_gamma_cold_start_loads_only_what_it_runs():

@@ -6,7 +6,7 @@ import pytest
 
 from fmcalc import gradedpoly as gp
 from fmcalc import torsion as ts
-from fmcalc.errors import MissingImage, RingMismatch, TowerMismatch, ZeroPolynomial
+from fmcalc.errors import MissingImage, NotIntegral, RingMismatch, TowerMismatch, ZeroPolynomial
 from fmcalc.formal import log_closed_form
 from fmcalc.gradedpoly import (
     GradedPoly,
@@ -18,6 +18,7 @@ from fmcalc.gradedpoly import (
     monomial_weight,
     reduce_mod_ideal,
 )
+from fmcalc.numberring import ResidueElement
 
 N = 4  # generator bound of the polynomials built from the `ring` fixture
 
@@ -110,11 +111,30 @@ class TestArithmetic:
         with pytest.raises(TowerMismatch):
             ring.gen(1).scale(q3_sqrt3.theta())
 
+    def test_operands_are_not_coerced(self, ring, q2_sqrt2):
+        # Arithmetic takes operands of one kind: a rational enters as a
+        # tower element, and a scalar enters a polynomial through scale.
+        x, poly = q2_sqrt2.theta(), ring.gen(1)
+        for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+                   lambda: x * 2, lambda: 2 * x, lambda: x / 2, lambda: 2 / x,
+                   lambda: x * Fraction(1, 2), lambda: poly * x, lambda: x * poly,
+                   lambda: poly * 2, lambda: 2 * poly):
+            with pytest.raises((TypeError, TowerMismatch, RingMismatch)):
+                op()
+        for c in (2, Fraction(1, 2), None, ResidueElement(q2_sqrt2, (1,))):
+            with pytest.raises(TowerMismatch):
+                poly.scale(c)
+        with pytest.raises(TowerMismatch):
+            PolyRing(q2_sqrt2, "residue").gen(1).scale(q2_sqrt2.one())
+        # Comparison with an int or a Fraction still reads the value.
+        assert x * x == 2 and x != 2 and q2_sqrt2.zero() == 0 and q2_sqrt2.one() == 1
+        assert x != 0 and q2_sqrt2.from_rational(Fraction(1, 2)) == Fraction(1, 2)
+
     def test_single_monomial_products_skip_the_kernel(self, ring, q2_sqrt2, monkeypatch):
         # The closed-form log and a division step multiply by one monomial
         # only, so neither reaches the graded-product kernel.
         v1, v2 = ring.gen(1), ring.gen(2)
-        f = (v1 + v2.scale(3)) ** 3
+        f = (v1 + v2.scale(q2_sqrt2.from_rational(3))) ** 3
         d = v2 + v1 ** 3
         calls = []
         kernel = GradedPoly.__mul__
@@ -158,7 +178,7 @@ class TestLeadingMonomial:
         assert leading_monomial(f) == monomial({2: 2})
 
     def test_scalar_multiple(self, ring):
-        assert leading_monomial(ring.gen(1).scale(7)) == monomial({1: 1})
+        assert leading_monomial(ring.gen(1).scale(ring.tower.from_rational(7))) == monomial({1: 1})
 
     def test_zero_polynomial(self, ring):
         with pytest.raises(ZeroPolynomial):
@@ -230,6 +250,13 @@ class TestReduceModIdeal:
         assert len(red.terms) == 1
         ((m, c),) = red.terms.items()
         assert m == monomial({2: 3}) and c.vec == (1,)
+
+    def test_non_integral_coefficient_raises_only_where_it_survives(self, ring, q2_sqrt2):
+        half = q2_sqrt2.from_rational(Fraction(1, 2))
+        f = ring.gen(2) + (ring.gen(1) * ring.gen(2)).scale(half)
+        assert reduce_mod_ideal(f, 2) == reduce_mod_ideal(ring.gen(2), 2)
+        with pytest.raises(NotIntegral):
+            reduce_mod_ideal(f, 1)
 
     def test_uniformizer_multiple_vanishes(self, ring, q2_sqrt2):
         f = ring.gen(2) + ring.gen(2).scale(q2_sqrt2.uniformizer())
@@ -305,5 +332,5 @@ class TestSerialization:
         assert f.to_json(N)["terms"] is not f.to_json(N)["terms"]
 
     def test_roundtrip(self, ring):
-        f = ring.gen(2) ** 2 + ring.gen(1).scale(Fraction(1, 2))
+        f = ring.gen(2) ** 2 + ring.gen(1).scale(ring.tower.from_rational(Fraction(1, 2)))
         assert GradedPoly.from_json(ring, f.to_json(N)) == f

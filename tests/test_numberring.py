@@ -166,7 +166,7 @@ class TestFieldArithmetic:
 
     def test_two_over_theta(self):
         th = self.t.theta()
-        assert (1 / th) * 2 == th
+        assert (self.t.from_rational(1) / th) * self.t.from_rational(2) == th
 
     def test_conjugate_product(self):
         one = self.t.one()
@@ -208,8 +208,9 @@ class TestIntegralityValuationResidue:
     def test_integrality_examples(self):
         t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         th = t.theta()
-        assert not nr.is_integral(th / 2)
-        assert nr.is_integral(2 / th)
+        two = t.from_rational(2)
+        assert not nr.is_integral(th / two)
+        assert nr.is_integral(two / th)
         assert nr.is_integral(t.one())
 
     def test_valuation_examples(self):
@@ -259,14 +260,14 @@ class TestIntegralityValuationResidue:
     def test_residue_examples(self):
         t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         assert nr.residue(t.theta()).is_zero()
-        assert nr.residue(t.one() + 2 * t.theta()).vec == (1,)
+        assert nr.residue(t.one() + t.from_rational(2) * t.theta()).vec == (1,)
         t3 = nr.TowerDescriptor(3, [0, 1], [-3, 0, 0, 1])
         assert nr.residue(t3.from_rational(3) / t3.theta() ** 3).vec == (1,)
 
     def test_residue_requires_integrality(self):
         t = nr.TowerDescriptor(2, [0, 1], [-2, 0, 1])
         with pytest.raises(NotIntegral):
-            nr.residue(t.theta() / 2)
+            nr.residue(t.theta() / t.from_rational(2))
 
 
 class TestEmbed:

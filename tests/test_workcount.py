@@ -1,7 +1,13 @@
 """Smoke tests of tools/workcount.py on slices of all three workloads."""
 
+import cProfile
 import importlib.util
 import pathlib
+import pstats
+
+from fmcalc.formal import trivial_tower
+from fmcalc.gradedpoly import PolyRing
+from fmcalc.numberring import TowerDescriptor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -105,7 +111,10 @@ def test_workcount_session_scans_divide_no_power(tmp_path):
     # settled by coefficient valuations: the zero case, except at n = 1 on
     # Q2(x^2-2), Q3(x^2-3) and Q5(x^2-5), where the least term of
     # gamma(v_2) makes every quotient non-integral.  No scan divides a
-    # power of gamma(v_{n+1}); dividing each power took 99 steps.
+    # power of gamma(v_{n+1}) by gamma(v_n).  A name that matches no
+    # profiled function also counts 0, so a scan that does divide is
+    # counted under the same name: with gamma(v_1) = v_1 and gamma(v_2) =
+    # v_1 + theta * v_2 over Q2(x^2-2) it divides the first two powers.
     wc = load_workcount()
     jobs = wc.workloads.GENERATORS["verify-session"](1)
     assert any("eventual-division" in job["argv"] for job in jobs)
@@ -114,4 +123,13 @@ def test_workcount_session_scans_divide_no_power(tmp_path):
     stats, nonzero, raised = wc.profile_jobs(wc.run.materialize(jobs, str(tmp_path)), False)
     assert (nonzero, raised) == (0, 0)
     rows = wc.named_counts(stats, wc.DEFAULT_NAMES)
-    assert [calls for name, _, calls in rows if name == "gamma._power_divisions"] == [0]
+    assert [calls for name, _, calls in rows if name == "gamma.poly_divide"] == [0]
+    gm = wc.cli.gammamod
+    tower = TowerDescriptor(2, [0, 1], [-2, 0, 1])
+    v1, v2 = PolyRing(tower).gen(1), PolyRing(tower).gen(2)
+    table = gm.GammaTable(trivial_tower(2), tower, 2, (None, v1, v1 + v2.scale(tower.theta())), {})
+    prof = cProfile.Profile()
+    rep = prof.runcall(gm.eventual_division_witness, table, 1, 8)
+    assert (rep["case"], rep["m"]) == ("divide", 2)
+    rows = wc.named_counts(pstats.Stats(prof), ["gamma.poly_divide"])
+    assert [(name, calls) for name, _, calls in rows] == [("gamma.poly_divide", 2)]

@@ -15,9 +15,9 @@ over F_p (`torsion.normal_form`) and the reductions on exponent tuples
 (`torsion._remainder`) that torsion-batch's obstruct jobs take, the default-polynomial searches
 (`modp.smallest_irreducible`) and weight-basis requests
 (`gradedpoly.monomials_of_weight`) that a verify-session process repeats
-unless it reuses them, and the eventual-division scans that divide powers
-of gamma(v_{n+1}) (`gamma._power_divisions`; a generator, so each step
-counts as a call).
+unless it reuses them, and the divisions of a power of gamma(v_{n+1}) by
+gamma(v_n) that an eventual-division scan takes (`gamma.poly_divide`, one
+call per power divided).
 
 The benchmark runs each gamma-cold job in a fresh interpreter; to match it,
 every cache in fmcalc.cli.PROCESS_CACHES is cleared between jobs here.
@@ -45,7 +45,7 @@ from fmcalc import cli  # noqa: E402
 DEFAULT_NAMES = ["fractions._mul", "fractions._add", "fractions.__new__",
                  "numberring.inverse", "gradedpoly.__mul__", "gradedpoly.__init__",
                  "torsion.normal_form", "torsion._remainder", "modp.smallest_irreducible",
-                 "gradedpoly.monomials_of_weight", "gamma._power_divisions"]
+                 "gradedpoly.monomials_of_weight", "gamma.poly_divide"]
 
 
 def profile_jobs(job_argvs, fresh_caches):
