@@ -18,7 +18,7 @@ from . import gamma as gammamod
 from . import modp
 from .errors import ConfigParseError, FmcalcError, UsageError
 from .formal import hazewinkel_log, log_closed_form, log_entries, trivial_tower
-from .gradedpoly import _monomials_of_weight
+from .gradedpoly import _monomials_of_weight, monomial_count
 from .numberring import (
     TowerDescriptor,
     embed,
@@ -151,30 +151,22 @@ def _with_common(report, settings, tower=None):
     return report
 
 
-# The most monomials the piece of weight p^N - 1 that gamma(v_N) lives in
-# may have: Q2(x^2-2) at N = 8 has 42,987 and took 20 s; Q3(x^3-3) at N = 7
-# has 401,983 and ran for more than 15 minutes.
+# Limits on the largest polynomial a gamma build makes, from measurements.
+# e > 1: gamma(v_N), bounded by the monomials of weight p^N - 1.  Q2(x^2-2)
+# at N = 8 has 42,987 (18 s), the f = e = 2 tower of Q2 at N = 12 85,689
+# (126 s), Q3(x^3-3) at N = 7 401,983 (past 15 minutes).  e = 1: gamma(v_N)
+# is v_{N/f} or 0, and the log coefficient l_{N//f} has 2^(N//f - 1) terms;
+# N//f = 19 took 17 s and 501 MB, and each step up doubles both.
 GAMMA_MONOMIAL_LIMIT = 50_000
-
-
-def _monomial_count(q, n, w, limit):
-    """The number of monomials of weight w in v_1..v_n, where v_i has weight
-    q^i - 1, or a number above limit once the count passes it."""
-    if w % (q - 1):
-        return 0
-    if n <= 2:  # v_1^a * v_2^b with b = 0..w // (q^2 - 1)
-        return w // (q * q - 1) + 1 if n == 2 else int(n == 1 or w == 0)
-    count, wn = 0, q ** n - 1
-    for a in range(w // wn + 1):
-        count += _monomial_count(q, n - 1, w - a * wn, limit - count)
-        if count > limit:
-            break
-    return count
+GAMMA_LOG_LEVEL_LIMIT = 19
 
 
 def _gamma_table(tower, N):
     """The gamma table the CLI reports: from Q_p, the base of the tower."""
-    count = _monomial_count(tower.q, N, tower.p ** N - 1, GAMMA_MONOMIAL_LIMIT)
+    if tower.e == 1 and N // tower.f > GAMMA_LOG_LEVEL_LIMIT:
+        raise UsageError("gamma to v_%d builds the log coefficient l_%d, above the limit "
+                         "of l_%d" % (N, N // tower.f, GAMMA_LOG_LEVEL_LIMIT))
+    count = tower.e > 1 and monomial_count(tower.q, N, tower.p ** N - 1, GAMMA_MONOMIAL_LIMIT)
     if count > GAMMA_MONOMIAL_LIMIT:
         raise UsageError("gamma(v_%d) lives in a weight piece of at least %d monomials, "
                          "above the limit of %d" % (N, count, GAMMA_MONOMIAL_LIMIT))

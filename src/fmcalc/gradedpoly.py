@@ -483,6 +483,21 @@ def _monomials_of_weight(q, N, w):
     return tuple(out)
 
 
+def monomial_count(q, N, w, limit):
+    """len(monomials_of_weight(q, N, w)), building none of them, or a number
+    above limit once the count passes it."""
+    if w % (q - 1):  # every generator's weight q^n - 1 is a multiple of q - 1
+        return 0
+    if N <= 2:  # v_1^a * v_2^b with b = 0..w // (q^2 - 1)
+        return w // (q * q - 1) + 1 if N == 2 else int(N == 1 or w == 0)
+    count, wn = 0, q ** N - 1
+    for a in range(w // wn + 1):
+        count += monomial_count(q, N - 1, w - a * wn, limit - count)
+        if count > limit:
+            break
+    return count
+
+
 def graded_basis(ring, N, weight_bound):
     """All monomials in v_1..v_N of each weight <= weight_bound, per
     weight, each list sorted descending in the monomial order."""

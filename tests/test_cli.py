@@ -11,7 +11,7 @@ import pytest
 from fmcalc import cli, gamma, modp
 from fmcalc.cli import build_parser, main, parse_poly_string
 from fmcalc.errors import UsageError
-from fmcalc.gradedpoly import monomials_of_weight
+from fmcalc.gradedpoly import monomial_count, monomials_of_weight
 from fmcalc.numberring import TowerDescriptor
 
 
@@ -622,12 +622,13 @@ def test_monomial_count_matches_the_weight_basis():
         for N in range(n_max + 1):
             w = p ** N - 1
             expected = len(monomials_of_weight(q, N, w)) if w % (q - 1) == 0 else 0
-            assert cli._monomial_count(q, N, w, 10 ** 9) == expected, (q, N)
-            assert expected == 0 or cli._monomial_count(q, N, w, expected - 1) >= expected
-    counts = [cli._monomial_count(q, N, q ** N - 1, 10 ** 9)
+            assert monomial_count(q, N, w, 10 ** 9) == expected, (q, N)
+            assert expected == 0 or monomial_count(q, N, w, expected - 1) >= expected
+    counts = [monomial_count(q, N, q ** N - 1, 10 ** 9)
               for q, N in [(2, 7), (2, 8), (3, 6), (3, 7), (2, 9)]]
     assert counts == [2724, 42987, 6724, 401983, 1128093]
-    assert cli._monomial_count(4, 29, 2 ** 29 - 1, 10) == 0  # gamma(v_29) = 0 when f = 2
+    assert monomial_count(4, 12, 2 ** 12 - 1, 10 ** 9) == 85689  # Q2, f = e = 2
+    assert monomial_count(4, 29, 2 ** 29 - 1, 10) == 0  # gamma(v_29) = 0 when f = 2
 
 
 @pytest.mark.parametrize("p, N", [(3, 8), (2, 30)])
@@ -652,6 +653,36 @@ def test_gamma_below_the_monomial_limit_runs(capsys):
     # reaches.
     code, out, _ = run(capsys, "gamma", "--p", "2", "--e", "2", "--N", "7")
     assert code == 0 and len(json.loads(out)["table"]["images"]["7"]["terms"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--p", "2", "--N", "9"),
+    ("gamma", "--p", "3", "--N", "7"),
+    ("gamma", "--p", "2", "--f", "2", "--N", "14"),
+    ("verify", "unramified", "--p", "2", "--f", "2", "--N", "24"),
+    ("verify", "unramified", "--p", "3", "--f", "3", "--N", "30"),
+])
+def test_unramified_gamma_is_not_bound_by_the_monomial_count(capsys, argv):
+    # Where e = 1, gamma(v_N) is v_{N/f} or 0, however many monomials its
+    # weight piece has (1,128,093 for Q2 at N = 9): the build makes only the
+    # log coefficients, and these run in well under a second.
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    images = report["table"]["images"] if argv[0] == "gamma" else report["images"]
+    assert code == 0 and len(images) == int(argv[-1])
+
+
+def test_unramified_gamma_refuses_a_log_coefficient_above_the_limit():
+    # Q2 at N = 40 would build l_40 of 2^39 terms; the CLI refuses it at
+    # once.  A fresh interpreter with a timeout, so that a build fails
+    # instead of hanging.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("FMCALC_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-m", "fmcalc.cli", "gamma", "--p", "2", "--N", "40"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("fmcalc: error: gamma to v_40 builds the log coefficient l_40, "
+                           "above the limit of l_19\n")
 
 
 def test_gamma_cold_start_loads_only_what_it_runs():
